@@ -18,6 +18,7 @@ from repro.harness.experiment import (
 )
 from repro.harness.parallel import (
     RunnerConfig,
+    WorkerLost,
     cell_seed,
     effective_jobs,
     run_specs,
@@ -56,6 +57,7 @@ __all__ = [
     "cell_seed",
     "effective_jobs",
     "run_specs",
+    "WorkerLost",
     "make_instrumentations",
     "overhead_percent",
     "render_table",

@@ -34,7 +34,9 @@ from repro.harness.baseline_cache import (
 )
 from repro.harness.formatting import render_table
 from repro.harness.parallel import (
+    CellOutcome,
     RunnerConfig,
+    WorkerLost,
     cell_seed,
     effective_jobs,
     run_specs,
@@ -810,6 +812,9 @@ class ExperimentRunner:
         The returned list matches *specs* positionally. Cells are
         deterministic, so the outcome is bit-identical to a serial
         loop regardless of the worker count; only wall time changes.
+        A pool worker that dies raises :class:`WorkerLost`, a
+        :class:`HarnessError` naming the unfinished cells; the cells
+        that finished are memoized first.
         """
         specs = [self._apply_plan(spec) for spec in specs]
         jobs = effective_jobs(jobs if jobs is not None else self.jobs)
@@ -820,33 +825,44 @@ class ExperimentRunner:
                 seen.add(spec)
                 pending.append(spec)
         if pending and jobs > 1 and len(pending) > 1:
-            outcomes = run_specs(
-                pending, RunnerConfig.from_runner(self), jobs
-            )
+            try:
+                outcomes = run_specs(
+                    pending, RunnerConfig.from_runner(self), jobs
+                )
+            except WorkerLost as lost:
+                # Keep the cells that finished, so a retry only reruns
+                # the ones named in the error.
+                for spec, outcome in zip(pending, lost.outcomes):
+                    if outcome is not None:
+                        self._absorb_outcome(spec, outcome)
+                raise
             for spec, outcome in zip(pending, outcomes):
-                self._run_memo[spec] = outcome.result
-                self._record_cache_counts(
-                    outcome.cache_hits,
-                    outcome.cache_misses,
-                    outcome.cache_stores,
-                )
-                manifest = outcome.result.manifest
-                if manifest is not None:
-                    manifest.source = f"pool:{outcome.worker_pid}"
-                    self._absorb_manifest(manifest)
-                profile_payload = outcome.result.profile
-                if profile_payload is not None:
-                    self._absorb_profile(profile_payload["snapshot"])
-                self._ledger_append(spec, outcome.result)
-                self.cell_log.append(
-                    CellRecord(
-                        label=spec.describe(),
-                        seconds=outcome.seconds,
-                        source=f"pool:{outcome.worker_pid}",
-                        baseline_cache_hit=outcome.baseline_cache_hit,
-                    )
-                )
+                self._absorb_outcome(spec, outcome)
         return [self.run(spec) for spec in specs]
+
+    def _absorb_outcome(self, spec: RunSpec, outcome: CellOutcome) -> None:
+        """Fold one pool-computed cell into the memo, metrics and log."""
+        self._run_memo[spec] = outcome.result
+        self._record_cache_counts(
+            outcome.cache_hits, outcome.cache_misses, outcome.cache_stores
+        )
+        source = f"pool:{outcome.worker_pid}"
+        manifest = outcome.result.manifest
+        if manifest is not None:
+            manifest.source = source
+            self._absorb_manifest(manifest)
+        profile_payload = outcome.result.profile
+        if profile_payload is not None:
+            self._absorb_profile(profile_payload["snapshot"])
+        self._ledger_append(spec, outcome.result)
+        self.cell_log.append(
+            CellRecord(
+                label=spec.describe(),
+                seconds=outcome.seconds,
+                source=source,
+                baseline_cache_hit=outcome.baseline_cache_hit,
+            )
+        )
 
     def prefetch(
         self, specs: Sequence[RunSpec], jobs: Optional[int] = None

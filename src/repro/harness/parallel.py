@@ -11,14 +11,28 @@ over:
   cache directory) in its initializer, so per-workload compilation and
   baseline execution happen at most once per worker — or once *ever*
   when a persistent baseline cache directory is shared;
-* cells are dispatched with ``chunksize=1`` and results are collected
-  in submission order, so the caller sees the exact list it would get
-  from a serial loop;
+* cells are dispatched in *shape groups* (:func:`shape_groups`): the
+  cells whose transformed program is the same — same
+  :func:`shape_key` — go to one worker as one task, so the process-wide
+  lowering caches of the fast and compiled tiers pay for each shape
+  once per sweep rather than once per worker. The key leaves out
+  interval, phase, trigger, seed and timer period: sampling is
+  counter-based, so the interval is a run-time value of the trigger,
+  never baked into the code. A group larger than its fair share
+  (``ceil(cells / jobs)``) is split, so a sweep with fewer shapes than
+  workers still keeps every worker busy;
+* results are collected back into submission order, so the caller sees
+  the exact list it would get from a serial loop;
 * every cell is seeded deterministically from its spec content
   (:func:`cell_seed`), never from worker identity, scheduling order, or
   wall clock — the same spec produces bit-identical results at any
   ``--jobs`` value. ``tests/test_parallel_harness.py`` holds the
-  tripwire asserting jobs=1 and jobs=4 agree cell-for-cell.
+  tripwire asserting jobs=1 and jobs=4 agree cell-for-cell;
+* a worker process that dies mid-sweep fails the sweep instead of
+  hanging it: the pool reports it as ``BrokenProcessPool`` and
+  :func:`run_specs` raises :class:`WorkerLost`, a
+  :class:`~repro.errors.HarnessError` naming the cells that did not
+  finish.
 
 Workers prefer the ``fork`` start method (cheap on Linux, inherits the
 parent's compiled-workload caches) and fall back to ``spawn`` where
@@ -32,8 +46,9 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import HarnessError
 from repro.vm.cost_model import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -88,6 +103,39 @@ def cell_seed(spec: "RunSpec") -> int:
     )
     digest = hashlib.sha256(payload.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big")
+
+
+def shape_key(spec: "RunSpec") -> Tuple[object, ...]:
+    """The spec fields that determine the cell's transformed program.
+
+    Interval, phase, trigger, seed and timer period are left out: they
+    configure the run-time trigger, so every cell that differs only in
+    them runs the same code and hits the same lowering-cache entries.
+    """
+    return (
+        spec.workload,
+        spec.scale,
+        spec.strategy,
+        spec.instrumentation,
+        spec.yieldpoint_opt,
+        spec.plan,
+    )
+
+
+def shape_groups(specs: Sequence["RunSpec"], jobs: int) -> List[List[int]]:
+    """Indices into *specs*, grouped by :func:`shape_key` in
+    first-appearance order; a group longer than the fair share
+    ``ceil(len(specs) / jobs)`` is cut into consecutive pieces of that
+    size."""
+    groups: Dict[Tuple[object, ...], List[int]] = {}
+    for index, spec in enumerate(specs):
+        groups.setdefault(shape_key(spec), []).append(index)
+    share = -(-len(specs) // max(1, jobs))
+    return [
+        group[start:start + share]
+        for group in groups.values()
+        for start in range(0, len(group), share)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +228,27 @@ class CellOutcome:
     cache_stores: int = 0
 
 
+class WorkerLost(HarnessError):
+    """A pool worker process died before the sweep finished.
+
+    ``outcomes`` lines up with the submitted specs and holds ``None``
+    for each cell in ``unfinished``, so the caller can keep the cells
+    that did complete.
+    """
+
+    def __init__(
+        self,
+        outcomes: List[Optional[CellOutcome]],
+        unfinished: List["RunSpec"],
+    ):
+        self.outcomes = outcomes
+        self.unfinished = unfinished
+        super().__init__(
+            f"pool: a worker process died; {len(unfinished)} cell(s) did "
+            "not finish: " + "; ".join(spec.describe() for spec in unfinished)
+        )
+
+
 _WORKER_RUNNER = None
 
 
@@ -222,6 +291,10 @@ def _pool_context():
     )
 
 
+def _run_group(specs: List["RunSpec"]) -> List[CellOutcome]:
+    return [_run_cell(spec) for spec in specs]
+
+
 def run_specs(
     specs: Sequence["RunSpec"],
     config: RunnerConfig,
@@ -230,7 +303,9 @@ def run_specs(
     """Execute *specs* over *jobs* worker processes, in order.
 
     Falls back to an in-process loop for jobs<=1 or tiny batches, so
-    callers can route everything through one entry point.
+    callers can route everything through one entry point. Pool tasks
+    are the :func:`shape_groups` of *specs*; a cell that raises
+    re-raises here, and a worker that dies raises :class:`WorkerLost`.
     """
     specs = list(specs)
     jobs = max(1, jobs)
@@ -240,13 +315,43 @@ def run_specs(
             return [_run_cell(spec) for spec in specs]
         finally:
             _reset_worker()
-    ctx = _pool_context()
-    with ctx.Pool(
-        processes=min(jobs, len(specs)),
+    # Imported here so that importing repro, and every serial sweep,
+    # does not pay for the executor machinery.
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    groups = shape_groups(specs, jobs)
+    outcomes: List[Optional[CellOutcome]] = [None] * len(specs)
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(groups)),
+        mp_context=_pool_context(),
         initializer=_init_worker,
         initargs=(config,),
     ) as pool:
-        return pool.map(_run_cell, specs, chunksize=1)
+        futures = {
+            pool.submit(_run_group, [specs[i] for i in group]): group
+            for group in groups
+        }
+        wait(futures, return_when=FIRST_EXCEPTION)
+        pool.shutdown(wait=False, cancel_futures=True)
+    # Leaving the ``with`` joined the pool: every future is now either
+    # finished or cancelled.
+    failed = None
+    for future, group in futures.items():
+        if future.cancelled():
+            continue
+        error = future.exception()
+        if error is None:
+            for index, outcome in zip(group, future.result()):
+                outcomes[index] = outcome
+        elif failed is None:
+            failed = error
+    if isinstance(failed, BrokenProcessPool):
+        unfinished = [s for s, o in zip(specs, outcomes) if o is None]
+        raise WorkerLost(outcomes, unfinished) from failed
+    if failed is not None:
+        raise failed
+    return outcomes
 
 
 def _reset_worker() -> None:

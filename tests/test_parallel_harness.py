@@ -5,13 +5,18 @@ model, seeded triggers), so running a sweep through the worker pool
 must produce results bit-identical to the serial loop — same ExecStats
 field-for-field, same profiles key-for-key, cell-for-cell. These tests
 pin that contract, plus the knobs around it: ``effective_jobs`` env
-parsing, per-cell seed derivation, RunnerConfig round-trips, and the
-timing report's accounting.
+parsing, per-cell seed derivation, RunnerConfig round-trips, the
+timing report's accounting, shape-group scheduling, and the error a
+dead worker raises.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -22,7 +27,7 @@ from repro.harness import (
     cell_seed,
     effective_jobs,
 )
-from repro.harness.parallel import JOBS_ENV
+from repro.harness.parallel import JOBS_ENV, shape_groups, shape_key
 from repro.sampling import Strategy
 from repro.vm import CostModel
 
@@ -190,3 +195,196 @@ class TestTimingReport:
         assert all(
             not rec.source.startswith("pool:") for rec in runner.cell_log
         )
+
+
+#: Three transformed-program shapes x two intervals, interleaved the
+#: way a shuffled sweep submits them.
+SHAPES = [
+    ("compress", Strategy.FULL_DUPLICATION),
+    ("jess", Strategy.PARTIAL_DUPLICATION),
+    ("db", Strategy.NO_DUPLICATION),
+]
+SHAPE_SWEEP = [
+    RunSpec(workload, strategy, ("call-edge",), trigger="counter",
+            interval=interval)
+    for interval in (10, 100)
+    for workload, strategy in SHAPES
+]
+
+
+def _pool_sources(runner):
+    """cell label -> "pool:<pid>" for every pool-computed cell."""
+    return {
+        rec.label: rec.source
+        for rec in runner.cell_log
+        if rec.source.startswith("pool:")
+    }
+
+
+class TestShapeGroups:
+    def test_key_ignores_run_time_trigger_fields(self):
+        base = RunSpec("compress", Strategy.FULL_DUPLICATION, ("call-edge",),
+                       trigger="counter", interval=10)
+        for other in (
+            RunSpec("compress", Strategy.FULL_DUPLICATION, ("call-edge",),
+                    trigger="randomized", interval=1000, phase=7, seed=3,
+                    timer_period=5000),
+            RunSpec("compress", Strategy.FULL_DUPLICATION, ("call-edge",)),
+        ):
+            assert shape_key(other) == shape_key(base)
+        for other in (
+            RunSpec("jess", Strategy.FULL_DUPLICATION, ("call-edge",)),
+            RunSpec("compress", Strategy.NO_DUPLICATION, ("call-edge",)),
+            RunSpec("compress", Strategy.FULL_DUPLICATION, ("block-count",)),
+            RunSpec("compress", Strategy.FULL_DUPLICATION, ("call-edge",),
+                    scale=2),
+            RunSpec("compress", Strategy.FULL_DUPLICATION, ("call-edge",),
+                    yieldpoint_opt=True),
+            RunSpec("compress", Strategy.FULL_DUPLICATION, ("call-edge",),
+                    plan=(("main", "none"),)),
+        ):
+            assert shape_key(other) != shape_key(base)
+
+    def test_groups_in_first_appearance_order(self):
+        assert shape_groups(SHAPE_SWEEP, 2) == [[0, 3], [1, 4], [2, 5]]
+
+    def test_group_over_fair_share_is_split(self):
+        one_shape = [
+            RunSpec("compress", Strategy.FULL_DUPLICATION, ("call-edge",),
+                    trigger="counter", interval=interval)
+            for interval in (10, 20, 30, 40, 50)
+        ]
+        assert shape_groups(one_shape, 2) == [[0, 1, 2], [3, 4]]
+        assert shape_groups(one_shape, 8) == [[0], [1], [2], [3], [4]]
+        # A lone small group next to a large one: only the large splits.
+        mixed = one_shape + [SHAPE_SWEEP[1]]
+        assert shape_groups(mixed, 2) == [[0, 1, 2], [3, 4], [5]]
+
+
+class TestShapeScheduling:
+    """The pool runs each shape's cells in one worker, invisibly."""
+
+    def test_matches_serial_in_submission_order(self):
+        serial = ExperimentRunner(cache=False).run_many(SHAPE_SWEEP, jobs=1)
+        pooled_runner = ExperimentRunner(cache=False)
+        pooled = pooled_runner.run_many(SHAPE_SWEEP, jobs=2)
+        assert [res.spec for res in pooled] == SHAPE_SWEEP
+        for s_res, p_res in zip(serial, pooled):
+            assert _cell_fingerprint(s_res) == _cell_fingerprint(p_res)
+        assert list(_pool_sources(pooled_runner)) == [
+            spec.describe() for spec in SHAPE_SWEEP
+        ]
+
+    def test_each_shape_stays_in_one_worker(self):
+        # Fair share is 3 cells, so no 2-cell shape group is split.
+        assert len(shape_groups(SHAPE_SWEEP, 2)) == len(SHAPES)
+        runner = ExperimentRunner(cache=False)
+        runner.run_many(SHAPE_SWEEP, jobs=2)
+        sources = _pool_sources(runner)
+        by_shape = {}
+        for spec in SHAPE_SWEEP:
+            by_shape.setdefault(shape_key(spec), set()).add(
+                sources[spec.describe()]
+            )
+        assert all(len(pids) == 1 for pids in by_shape.values()), by_shape
+
+    def test_single_shape_sweep_uses_every_worker(self):
+        one_shape = [
+            RunSpec("jess", Strategy.FULL_DUPLICATION, ("call-edge",),
+                    trigger="counter", interval=interval)
+            for interval in (10, 20, 30, 40)
+        ]
+        runner = ExperimentRunner(cache=False)
+        runner.run_many(one_shape, jobs=2)
+        assert len(set(_pool_sources(runner).values())) == 2
+
+
+class TestLoweringOncePerShape:
+    def test_pool_lowers_no_more_than_serial(self, monkeypatch):
+        """Compiled-tier lowerings that missed the process-wide cache,
+        counted from the runner's merged metrics: the pool must not
+        repeat a shape's lowering in a second worker."""
+        from repro.vm import compiler, engine
+
+        def fresh_lowerings(jobs):
+            # Cold caches in this process, inherited by forked workers.
+            for name in ("_LOWER_CACHE", "_LEAF_CACHE", "_REGION_CODE_CACHE"):
+                monkeypatch.setattr(compiler, name, {})
+            monkeypatch.setattr(engine, "_CODE_CACHE", {})
+            runner = ExperimentRunner(
+                cache=False, engine="compiled", telemetry=True
+            )
+            runner.run_many(SHAPE_SWEEP, jobs=jobs)
+            regions = runner.metrics.get("vm.compiled.regions").value
+            hits = runner.metrics.get("vm.compiled.cache_hits")
+            return regions - (hits.value if hits is not None else 0)
+
+        serial = fresh_lowerings(1)
+        assert serial > 0
+        assert fresh_lowerings(2) <= serial
+
+
+#: Child process for the dead-worker test: the pool worker that picks
+#: up the jess cell exits without a word, as a crashed interpreter would.
+_DEAD_WORKER_SCRIPT = """
+import json, os, sys
+from repro.errors import HarnessError
+from repro.harness import ExperimentRunner, RunSpec, parallel
+from repro.sampling import Strategy
+
+specs = [
+    RunSpec("compress", Strategy.FULL_DUPLICATION, ("call-edge",),
+            trigger="counter", interval=10),
+    RunSpec("jess", Strategy.FULL_DUPLICATION, ("call-edge",),
+            trigger="counter", interval=10),
+    RunSpec("db", Strategy.FULL_DUPLICATION, ("call-edge",),
+            trigger="counter", interval=10),
+]
+run_cell = parallel._run_cell
+
+def dying_run_cell(spec):
+    if spec.workload == "jess":
+        os._exit(1)
+    return run_cell(spec)
+
+parallel._run_cell = dying_run_cell
+runner = ExperimentRunner(cache=False)
+try:
+    runner.run_many(specs, jobs=2)
+except HarnessError as exc:
+    print(json.dumps({
+        "message": str(exc),
+        "unfinished": [spec.describe() for spec in exc.unfinished],
+        "memoized": len(runner._run_memo),
+    }))
+    sys.exit(0)
+sys.exit("run_many returned despite a dead worker")
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched cell function reaches workers only through fork",
+)
+class TestDeadWorker:
+    def test_dead_worker_raises_harness_error(self):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.path.abspath(src) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        # A hang shows up as TimeoutExpired rather than a stuck suite.
+        child = subprocess.run(
+            [sys.executable, "-c", _DEAD_WORKER_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        report = json.loads(child.stdout)
+        message = report["message"]
+        assert message.startswith("pool: a worker process died")
+        jess = "jess / full-duplication / call-edge / counter@10"
+        assert jess in report["unfinished"]
+        for label in report["unfinished"]:
+            assert label in message
+        # Cells that finished before the crash were kept.
+        assert report["memoized"] + len(report["unfinished"]) == 3
