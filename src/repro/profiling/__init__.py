@@ -15,7 +15,7 @@ interpreters themselves:
   ledger (``BENCH_history.jsonl``) and its rolling-baseline comparator;
 * :mod:`repro.profiling.cct` — the first-class calling-context tree:
   dense context interning, per-context cost attribution, and the
-  associative snapshot-table merges the streaming spool relies on.
+  snapshot-table merge/diff (bindings of :data:`repro.snapshots.CCT`).
 """
 
 from repro.profiling.cct import (

@@ -27,14 +27,16 @@ profile sections of streamed epochs)::
 
 Keys are ``;``-joined root→leaf paths (the collapsed-stack convention
 shared with ``profiler.snapshot()["stacks"]``); values map component
-name to a ``[count, wall]`` pair. Both fields are additive, so
-:func:`merge_cct_tables` is associative and commutative and
-:func:`diff_cct_table` composes through it.
+name to a ``[count, wall]`` pair. Both fields are additive; the merge
+and diff are the :data:`repro.snapshots.CCT` schema's, bound here as
+:func:`merge_cct_tables` and :func:`diff_cct_table`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+from repro.snapshots import CCT
 
 #: Separator for flattened context paths — matches the collapsed-stack
 #: convention used by ``OverheadProfiler.snapshot()["stacks"]``.
@@ -156,53 +158,14 @@ class CallingContextTree:
 
 
 # ---------------------------------------------------------------------------
-# snapshot-table algebra
+# snapshot-table algebra (rules: :data:`repro.snapshots.CCT`)
 
+#: ``merge_cct_tables(base, extra, ...)`` folds tables additively.
+merge_cct_tables = CCT.merge
 
-def merge_cct_tables(
-    base: Mapping[str, Mapping[str, Sequence[float]]],
-    extra: Mapping[str, Mapping[str, Sequence[float]]],
-) -> Dict[str, Dict[str, List[float]]]:
-    """Fold two CCT snapshot tables additively (associative and
-    commutative — both fields of every cell are sums)."""
-    merged: Dict[str, Dict[str, List[float]]] = {
-        key: {comp: list(slot) for comp, slot in cell.items()}
-        for key, cell in base.items()
-    }
-    for key, cell in extra.items():
-        target = merged.setdefault(key, {})
-        for component, slot in cell.items():
-            dest = target.get(component)
-            if dest is None:
-                target[component] = list(slot)
-            else:
-                dest[0] += slot[0]
-                dest[1] += slot[1]
-    return merged
-
-
-def diff_cct_table(
-    base: Mapping[str, Mapping[str, Sequence[float]]],
-    current: Mapping[str, Mapping[str, Sequence[float]]],
-) -> Dict[str, Dict[str, List[float]]]:
-    """The increment such that ``merge_cct_tables(base, diff) ==
-    current`` for append-only tables (cells only ever grow)."""
-    delta: Dict[str, Dict[str, List[float]]] = {}
-    for key, cell in current.items():
-        base_cell = base.get(key, {})
-        changed: Dict[str, List[float]] = {}
-        for component, slot in cell.items():
-            prev = base_cell.get(component)
-            if prev is None:
-                changed[component] = list(slot)
-            else:
-                dn = slot[0] - prev[0]
-                dw = slot[1] - prev[1]
-                if dn or dw:
-                    changed[component] = [dn, dw]
-        if changed:
-            delta[key] = changed
-    return delta
+#: ``diff_cct_table(base, current)`` is the increment that
+#: ``merge_cct_tables(base, diff)`` turns back into *current*.
+diff_cct_table = CCT.diff
 
 
 def context_totals(

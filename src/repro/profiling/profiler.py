@@ -41,9 +41,10 @@ the fast engine compiles **zero** profiling branches — the disabled
 path is gated at <=2% next to the null-recorder gate in CI.
 
 Snapshots are plain JSON-able dicts whose merge
-(:func:`merge_snapshots`) is associative and commutative, so pool
-workers' profiles fold together in any grouping — the same contract
-metrics snapshots honour (docs/PROFILING.md).
+(:func:`merge_snapshots`, rules in :data:`repro.snapshots.PROFILE`) is
+associative and commutative, so pool workers' profiles fold together
+in any grouping — the same contract metrics snapshots honour
+(docs/PROFILING.md).
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.bytecode.opcodes import Op
 from repro.sampling.triggers import CounterTrigger
+from repro.snapshots import PROFILE
 
 #: Attribution components, in rendering order.
 COMPONENTS: Tuple[str, ...] = (
@@ -332,16 +334,17 @@ class OverheadProfiler:
 
 
 def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Fold snapshots into one; associative and commutative.
+    """Fold snapshots into one by the :data:`repro.snapshots.PROFILE`
+    rules (associative and commutative).
 
     Counts and wall times add; ``interval`` survives only if every input
     agrees (mixed-interval merges keep ``None`` — the merged bound is no
-    longer a single formula). An empty iterable yields an empty-profile
-    snapshot.
+    longer a single formula). The fold starts from the empty profile,
+    which has no ``interval`` and so casts no vote: it is the identity,
+    and an empty iterable yields it.
     """
-    merged: Dict[str, Any] = {
+    empty = {
         "version": SNAPSHOT_VERSION,
-        "interval": None,
         "runs": 0,
         "boundaries": 0,
         "samples": 0,
@@ -352,50 +355,4 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         "op_heat": {},
         "stacks": {},
     }
-    first = True
-    for snap in snapshots:
-        if first:
-            merged["interval"] = snap.get("interval")
-            first = False
-        elif merged["interval"] != snap.get("interval"):
-            merged["interval"] = None
-        merged["runs"] += snap.get("runs", 0)
-        merged["boundaries"] += snap.get("boundaries", 0)
-        merged["samples"] += snap.get("samples", 0)
-        merged["elapsed_seconds"] += snap.get("elapsed_seconds", 0.0)
-        for comp, value in snap.get("wall_seconds", {}).items():
-            merged["wall_seconds"][comp] = (
-                merged["wall_seconds"].get(comp, 0.0) + value
-            )
-        for comp, value in snap.get("sample_counts", {}).items():
-            merged["sample_counts"][comp] = (
-                merged["sample_counts"].get(comp, 0) + value
-            )
-        for table in ("heat", "op_heat"):
-            ours = merged[table]
-            for key, n in snap.get(table, {}).items():
-                ours[key] = ours.get(key, 0) + n
-        ours = merged["stacks"]
-        for key, (n, wall) in snap.get("stacks", {}).items():
-            cell = ours.get(key)
-            if cell is None:
-                ours[key] = [n, wall]
-            else:
-                cell[0] += n
-                cell[1] += wall
-        cct = snap.get("cct")
-        if cct is not None:
-            from repro.profiling.cct import merge_cct_tables
-
-            merged["cct"] = merge_cct_tables(merged.get("cct", {}), cct)
-        supp = snap.get("suppression")
-        if supp is not None:
-            # Present in the merge iff present in any input; samples and
-            # flushes add, max_run takes the max — associative either way.
-            cell = merged.setdefault(
-                "suppression", {"samples": 0, "flushes": 0, "max_run": 0}
-            )
-            cell["samples"] += supp.get("samples", 0)
-            cell["flushes"] += supp.get("flushes", 0)
-            cell["max_run"] = max(cell["max_run"], supp.get("max_run", 0))
-    return merged
+    return PROFILE.merge(empty, *snapshots)

@@ -22,14 +22,14 @@ The module has three layers:
   engines compact transparently; with ``suppress=False`` it *is* the
   plain recorder (the same compile-time no-op contract as
   ``NullRecorder`` — engines only ever branch on ``recorder is None``).
-* **delta-encoded snapshots** — :func:`diff_metrics_snapshot` renders
-  the change between two ``MetricsRegistry`` snapshots *as another
-  valid snapshot* (counter increments, histogram bucket deltas, changed
-  gauges), so keyframe + deltas reconstruct exactly through the
-  existing associative ``merge_snapshot`` — the same merge pool
-  workers already use. :class:`DeltaSnapshotStream` adds the keyframe
-  cadence; :func:`diff_profile_snapshot` does the same for
-  ``OverheadProfiler`` snapshots via ``merge_snapshots``.
+* **delta-encoded snapshots** — the metrics and profile bindings of
+  the one snapshot algebra in :mod:`repro.snapshots`: a delta is itself
+  a valid snapshot, so keyframe + deltas reconstruct through the same
+  merge pool workers use. :func:`diff_metrics_snapshot` /
+  :func:`apply_metrics_delta` and :func:`diff_profile_snapshot` are
+  the schemas' ``diff``/``merge``; :class:`DeltaSnapshotStream` and
+  :func:`reconstruct_metrics_snapshots` are the generic keyframe
+  writer and replay bound to metrics.
 * **records on the wire** — :func:`records_to_jsonl` /
   :func:`records_from_jsonl` serialize mixed Event/SuppressedRun
   streams; ``repro.telemetry.exporters`` re-inflates them for the
@@ -61,15 +61,16 @@ from typing import (
 
 from repro.errors import ReproError
 from repro.profiles.profile import Profile
+from repro.snapshots import (
+    DEFAULT_KEYFRAME_EVERY,
+    METRICS,
+    PROFILE,
+    SnapshotStream,
+    replay,
+)
 from repro.telemetry.events import SAMPLE_FIRED, Event, event_from_dict
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.recorder import TelemetryRecorder
-
-#: Emit a full snapshot every N records by default; between keyframes
-#: only changed keys travel. Small enough that a reader seeking into a
-#: stream replays at most 15 deltas, large enough to amortize keyframe
-#: cost over steady-state runs.
-DEFAULT_KEYFRAME_EVERY = 16
 
 
 class SuppressedRun(NamedTuple):
@@ -540,191 +541,33 @@ def sample_site_profile(
     return profile
 
 
-# -- delta-encoded metrics snapshots -----------------------------------------
+# -- delta-encoded snapshots (rules: repro.snapshots) ------------------------
+
+#: ``diff_metrics_snapshot(base, current)``: the change as a valid
+#: snapshot (counter increments, histogram count/sum/bucket deltas,
+#: changed gauges); raises if a counter went backwards, a key changed
+#: type, or histogram bounds changed.
+diff_metrics_snapshot = METRICS.diff
+
+#: ``apply_metrics_delta(base, delta)``: base ∘ delta.
+apply_metrics_delta = METRICS.merge
+
+#: ``diff_profile_snapshot(base, current)``: the change between two
+#: ``OverheadProfiler`` snapshots, so that
+#: ``merge_snapshots([base, delta]) == current``.
+diff_profile_snapshot = PROFILE.diff
 
 
-def diff_metrics_snapshot(
-    base: Dict[str, Dict[str, Any]],
-    current: Dict[str, Dict[str, Any]],
-) -> Dict[str, Dict[str, Any]]:
-    """The change from *base* to *current*, as a valid snapshot.
-
-    Counters carry increments, histograms carry bucket/count/sum deltas
-    (min/max carry the current value — they only ever tighten, so the
-    merge's min/max pick reconstructs them), gauges appear only when
-    changed. Because the delta is itself a snapshot,
-    ``MetricsRegistry.merge_snapshot`` composes keyframe + deltas back
-    into the exact current state, and worker deltas merge associatively
-    exactly like full snapshots.
-
-    Requires metrics to have evolved monotonically from *base* (true
-    for counters/histograms by construction); raises otherwise.
-    """
-    delta: Dict[str, Dict[str, Any]] = {}
-    for key, cur in current.items():
-        prev = base.get(key)
-        if prev == cur:
-            continue
-        mtype = cur.get("type")
-        if prev is None or prev.get("type") != mtype:
-            delta[key] = json.loads(json.dumps(cur))
-            continue
-        if mtype == "counter":
-            step = int(cur["value"]) - int(prev["value"])
-            if step < 0:
-                raise ReproError(
-                    f"metric {key!r}: counter went backwards "
-                    f"({prev['value']} -> {cur['value']})"
-                )
-            delta[key] = {"type": "counter", "value": step}
-        elif mtype == "gauge":
-            delta[key] = {"type": "gauge", "value": cur["value"]}
-        elif mtype == "histogram":
-            if list(prev["bounds"]) != list(cur["bounds"]):
-                delta[key] = json.loads(json.dumps(cur))
-                continue
-            delta[key] = {
-                "type": "histogram",
-                "count": int(cur["count"]) - int(prev["count"]),
-                "sum": cur["sum"] - prev["sum"],
-                "min": cur["min"],
-                "max": cur["max"],
-                "bounds": list(cur["bounds"]),
-                "buckets": [
-                    int(c) - int(p)
-                    for c, p in zip(cur["buckets"], prev["buckets"])
-                ],
-            }
-        else:
-            delta[key] = json.loads(json.dumps(cur))
-    return delta
-
-
-def apply_metrics_delta(
-    base: Dict[str, Dict[str, Any]],
-    delta: Dict[str, Dict[str, Any]],
-) -> Dict[str, Dict[str, Any]]:
-    """base ∘ delta, via the registry's own associative merge."""
-    registry = MetricsRegistry()
-    registry.merge_snapshot(base)
-    registry.merge_snapshot(delta)
-    return registry.snapshot()
-
-
-class DeltaSnapshotStream:
-    """Keyframe + delta encoding for a sequence of metrics snapshots.
-
-    ``push(snapshot)`` returns one JSON-able record: a ``keyframe``
-    (full snapshot) every *keyframe_every* pushes, else a ``delta``
-    holding only changed keys. :func:`reconstruct_metrics_snapshots`
-    replays records back into the exact original snapshot sequence.
-    """
+class DeltaSnapshotStream(SnapshotStream):
+    """Keyframe + delta encoding for a sequence of metrics snapshots;
+    :func:`reconstruct_metrics_snapshots` replays it."""
 
     def __init__(self, keyframe_every: int = DEFAULT_KEYFRAME_EVERY):
-        if keyframe_every < 1:
-            raise ReproError(
-                f"keyframe_every must be >= 1, got {keyframe_every}"
-            )
-        self.keyframe_every = keyframe_every
-        self.keyframes = 0
-        self.deltas = 0
-        self._index = 0
-        self._last: Optional[Dict[str, Dict[str, Any]]] = None
-
-    def push(self, snapshot: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
-        index = self._index
-        self._index = index + 1
-        snapshot = json.loads(json.dumps(snapshot))  # detach from caller
-        if self._last is None or index % self.keyframe_every == 0:
-            self.keyframes += 1
-            record = {"kind": "keyframe", "seq": index, "snapshot": snapshot}
-        else:
-            self.deltas += 1
-            record = {
-                "kind": "delta",
-                "seq": index,
-                "changed": diff_metrics_snapshot(self._last, snapshot),
-            }
-        self._last = snapshot
-        return record
+        super().__init__(METRICS, keyframe_every)
 
 
 def reconstruct_metrics_snapshots(
     records: Iterable[Dict[str, Any]],
 ) -> List[Dict[str, Dict[str, Any]]]:
     """Replay :class:`DeltaSnapshotStream` records into full snapshots."""
-    out: List[Dict[str, Dict[str, Any]]] = []
-    registry: Optional[MetricsRegistry] = None
-    for record in records:
-        kind = record.get("kind")
-        if kind == "keyframe":
-            registry = MetricsRegistry()
-            registry.merge_snapshot(record["snapshot"])
-        elif kind == "delta":
-            if registry is None:
-                raise ReproError("delta record before any keyframe")
-            registry.merge_snapshot(record["changed"])
-        else:
-            raise ReproError(f"unknown snapshot record kind {kind!r}")
-        out.append(registry.snapshot())
-    return out
-
-
-# -- delta-encoded profiler snapshots ----------------------------------------
-
-#: Scalar fields of a profiler snapshot that diff additively.
-_PROFILE_SCALARS = ("runs", "boundaries", "samples", "elapsed_seconds")
-
-
-def diff_profile_snapshot(
-    base: Dict[str, Any], current: Dict[str, Any]
-) -> Dict[str, Any]:
-    """The change between two ``OverheadProfiler`` snapshots, as a valid
-    snapshot: ``merge_snapshots([base, delta]) == current`` (module
-    :mod:`repro.profiling.profiler` owns the merge). Only changed
-    heat/op_heat/stack keys are carried."""
-    delta: Dict[str, Any] = {
-        "version": current.get("version"),
-        "interval": current.get("interval"),
-    }
-    for field in _PROFILE_SCALARS:
-        delta[field] = current.get(field, 0) - base.get(field, 0)
-    for table in ("wall_seconds", "sample_counts"):
-        cur = current.get(table, {})
-        prev = base.get(table, {})
-        delta[table] = {
-            comp: value - prev.get(comp, 0)
-            for comp, value in cur.items()
-            if value != prev.get(comp, 0)
-        }
-    for table in ("heat", "op_heat"):
-        cur = current.get(table, {})
-        prev = base.get(table, {})
-        delta[table] = {
-            key: n - prev.get(key, 0)
-            for key, n in cur.items()
-            if n != prev.get(key, 0)
-        }
-    cur_stacks = current.get("stacks", {})
-    prev_stacks = base.get("stacks", {})
-    delta["stacks"] = {
-        key: [n - prior[0], wall - prior[1]]
-        for key, (n, wall) in cur_stacks.items()
-        for prior in (prev_stacks.get(key, (0, 0.0)),)
-        if [n, wall] != list(prior)
-    }
-    suppression = current.get("suppression")
-    if suppression is not None:
-        prev_sup = base.get("suppression", {})
-        delta["suppression"] = {
-            # max_run merges by max, so the delta carries the current
-            # value; the additive stats carry increments.
-            k: v if k == "max_run" else v - prev_sup.get(k, 0)
-            for k, v in suppression.items()
-        }
-    cct = current.get("cct")
-    if cct is not None:
-        from repro.profiling.cct import diff_cct_table
-
-        delta["cct"] = diff_cct_table(base.get("cct", {}), cct)
-    return delta
+    return list(replay(METRICS, records))

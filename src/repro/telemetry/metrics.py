@@ -9,7 +9,7 @@ Everything here is deterministic-friendly: instruments hold exact
 integer/float aggregates (no reservoir sampling, no wall-clock decay),
 so two runs of the same deterministic simulation produce equal
 snapshots, and snapshots from parallel workers merge associatively via
-:meth:`MetricsRegistry.merge_snapshot`.
+:meth:`MetricsRegistry.merge_snapshot` (rules: :mod:`repro.snapshots`).
 
 Naming convention: dotted component paths (``vm.samples``,
 ``harness.baseline_cache.hits``); labels render Prometheus-style:
@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError
+from repro.snapshots import METRICS
 
 #: Default histogram bucket upper bounds: powers of four give useful
 #: resolution from single-cycle latencies up into the billions without
@@ -63,6 +64,9 @@ class Counter:
     def as_dict(self) -> Dict[str, object]:
         return {"type": "counter", "value": self.value}
 
+    def load(self, entry: Dict[str, object]) -> None:
+        self.value = entry["value"]
+
 
 class Gauge:
     """A point-in-time value (last write wins)."""
@@ -78,6 +82,8 @@ class Gauge:
 
     def as_dict(self) -> Dict[str, object]:
         return {"type": "gauge", "value": self.value}
+
+    load = Counter.load
 
 
 class Histogram:
@@ -156,6 +162,13 @@ class Histogram:
             "buckets": list(self.bucket_counts),
         }
 
+    def load(self, entry: Dict[str, object]) -> None:
+        self.count = entry["count"]
+        self.sum = entry["sum"]
+        self.min = entry["min"]
+        self.max = entry["max"]
+        self.bucket_counts = entry["buckets"]
+
 
 def quantile_from_buckets(
     bounds: Sequence[Union[int, float]],
@@ -204,6 +217,8 @@ def quantile_from_buckets(
 
 
 Instrument = Union[Counter, Gauge, Histogram]
+
+_SCALARS = {"counter": Counter, "gauge": Gauge}
 
 
 class MetricsRegistry:
@@ -285,39 +300,19 @@ class MetricsRegistry:
 
     def merge_snapshot(self, snapshot: Dict[str, Dict[str, object]]) -> None:
         """Fold a :meth:`snapshot` (e.g. from a pool worker's manifest)
-        into this registry: counters add, gauges last-write-win,
-        histograms merge bucket-for-bucket (bounds must agree)."""
+        into this registry by the :data:`repro.snapshots.METRICS` rules:
+        counters add, gauges last-write-win, histograms merge
+        bucket-for-bucket (bounds must agree)."""
+        METRICS.validate(snapshot)  # rejects unknown types, naming the key
+        ours = {}
         for key, payload in snapshot.items():
-            mtype = payload.get("type")
-            if mtype == "counter":
-                self._get(key, None, Counter).value += int(payload["value"])
-            elif mtype == "gauge":
-                self._get(key, None, Gauge).value = payload["value"]
-            elif mtype == "histogram":
-                hist = self.histogram(key, bounds=payload["bounds"])
-                if list(hist.bounds) != list(payload["bounds"]):
-                    raise ReproError(
-                        f"histogram {key!r}: bucket bounds disagree"
-                    )
-                hist.count += int(payload.get("count", 0))
-                hist.sum += payload.get("sum", 0)
-                for i, n in enumerate(payload.get("buckets", ())):
-                    hist.bucket_counts[i] += int(n)
-                # Tolerate payloads without min/max (empty or compacted
-                # delta snapshots): absent observations tighten nothing.
-                for attr, pick in (("min", min), ("max", max)):
-                    theirs = payload.get(attr)
-                    if theirs is None:
-                        continue
-                    ours = getattr(hist, attr)
-                    setattr(
-                        hist, attr,
-                        theirs if ours is None else pick(ours, theirs),
-                    )
+            if payload["type"] == "histogram":
+                instrument = self.histogram(key, bounds=payload["bounds"])
             else:
-                raise ReproError(
-                    f"metric {key!r}: unknown snapshot type {mtype!r}"
-                )
+                instrument = self._get(key, None, _SCALARS[payload["type"]])
+            ours[key] = instrument.as_dict()
+        for key, entry in METRICS.merge(ours, snapshot).items():
+            self._instruments[key].load(entry)
 
     def merge(self, other: "MetricsRegistry") -> None:
         self.merge_snapshot(other.snapshot())

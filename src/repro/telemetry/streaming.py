@@ -12,23 +12,23 @@ small ``MANIFEST.json`` index — containing:
   ring eviction — suppression windows stay open across epochs, keeping
   the record stream identical to a non-streaming compacting recorder);
 * a delta-encoded metrics snapshot (keyframe + deltas, composing
-  through ``MetricsRegistry.merge_snapshot``);
+  through the :data:`repro.snapshots.METRICS` merge);
 * a delta-encoded profiler snapshot when a profiler is attached
-  (composing through :func:`repro.profiling.merge_snapshots`);
+  (composing through the :data:`repro.snapshots.PROFILE` merge);
 * newly interned calling-context table entries, when the recorder
   tracks contexts.
 
 Memory is bounded: each epoch's buffers are drained on flush, and the
 open file handle is the only per-spool state that grows with nothing.
 
-**Bit-equal reconstruction.** Delta chains over floats can drift by an
-ulp (``base + (cur - base) != cur``), so the writer *verifies* every
-delta record against a maintained replay before committing it, and
-falls back to a keyframe on any mismatch ("verify-or-keyframe"). The
-result is a hard guarantee: :meth:`SpoolReader.final_metrics` and
-:meth:`SpoolReader.final_profile` reconstruct the end-of-run snapshots
-exactly, not approximately (tests/test_streaming.py pins this for the
-full workload × strategy matrix).
+**Bit-equal reconstruction.** Both snapshot streams are
+:class:`repro.snapshots.SnapshotStream` writers, which verify every
+delta against the reader's replay and fall back to a keyframe on any
+mismatch ("verify-or-keyframe"). The result is a hard guarantee:
+:meth:`SpoolReader.final_metrics` and :meth:`SpoolReader.final_profile`
+reconstruct the end-of-run snapshots exactly, not approximately
+(tests/test_streaming.py pins this for the full workload × strategy
+matrix).
 
 **Crash tolerance.** Each epoch is one line, flushed on write. A
 process killed mid-write leaves at most one truncated trailing line,
@@ -48,12 +48,10 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
 from repro.profiling.cct import cct_from_events
-from repro.profiling.profiler import merge_snapshots
+from repro.snapshots import METRICS, PROFILE, Kind, SnapshotStream, replay
 from repro.telemetry.compaction import (
     CompactingRecorder,
-    DeltaSnapshotStream,
     Record,
-    diff_profile_snapshot,
     inflate,
     record_as_dict,
     record_from_dict,
@@ -72,9 +70,6 @@ DEFAULT_EPOCH_EVENTS = 4096
 
 #: Default segment roll size (bytes of JSONL per segment file).
 DEFAULT_SEGMENT_BYTES = 1 << 20
-
-#: Profile keyframe cadence (epochs between full profile snapshots).
-PROFILE_KEYFRAME_EVERY = 16
 
 
 def _segment_name(index: int) -> str:
@@ -203,8 +198,7 @@ class StreamingRecorder(CompactingRecorder):
     __slots__ = (
         "writer", "epoch_events", "profiler", "epochs_flushed",
         "_epoch_records", "_events_since_flush", "_ctx_mark",
-        "_metrics_stream", "_metrics_replay", "_profile_last",
-        "_profile_replay", "_profile_epoch",
+        "_metrics_stream", "_profile_stream",
     )
 
     def __init__(
@@ -238,11 +232,8 @@ class StreamingRecorder(CompactingRecorder):
         self._epoch_records: List[Record] = []
         self._events_since_flush = 0
         self._ctx_mark = 0
-        self._metrics_stream = DeltaSnapshotStream()
-        self._metrics_replay: Optional[MetricsRegistry] = None
-        self._profile_last: Optional[Dict[str, Any]] = None
-        self._profile_replay: Optional[Dict[str, Any]] = None
-        self._profile_epoch = 0
+        self._metrics_stream = SnapshotStream(METRICS)
+        self._profile_stream = SnapshotStream(PROFILE)
 
     # -- hot path ------------------------------------------------------------
 
@@ -259,47 +250,6 @@ class StreamingRecorder(CompactingRecorder):
             self.flush_epoch()
 
     # -- epoch flushing ------------------------------------------------------
-
-    def _metrics_record(self) -> Dict[str, Any]:
-        """Verify-or-keyframe: the delta must replay to the exact
-        current snapshot, else it is replaced by a keyframe."""
-        snapshot = self.metrics.snapshot()
-        record = self._metrics_stream.push(snapshot)
-        if record["kind"] == "keyframe":
-            self._metrics_replay = MetricsRegistry()
-            self._metrics_replay.merge_snapshot(record["snapshot"])
-        else:
-            self._metrics_replay.merge_snapshot(record["changed"])
-            if self._metrics_replay.snapshot() != snapshot:
-                record = {
-                    "kind": "keyframe",
-                    "seq": record["seq"],
-                    "snapshot": snapshot,
-                }
-                self._metrics_replay = MetricsRegistry()
-                self._metrics_replay.merge_snapshot(snapshot)
-        return record
-
-    def _profile_record(self) -> Optional[Dict[str, Any]]:
-        if self.profiler is None:
-            return None
-        snapshot = json.loads(json.dumps(self.profiler.snapshot()))
-        index = self._profile_epoch
-        self._profile_epoch = index + 1
-        keyframe = (
-            self._profile_last is None
-            or index % PROFILE_KEYFRAME_EVERY == 0
-        )
-        if not keyframe:
-            delta = diff_profile_snapshot(self._profile_last, snapshot)
-            replay = merge_snapshots([self._profile_replay, delta])
-            if replay == snapshot:
-                self._profile_last = snapshot
-                self._profile_replay = replay
-                return {"kind": "delta", "seq": index, "changed": delta}
-        self._profile_last = snapshot
-        self._profile_replay = json.loads(json.dumps(snapshot))
-        return {"kind": "keyframe", "seq": index, "snapshot": snapshot}
 
     def flush_epoch(self, force: bool = False) -> bool:
         """Write one epoch line: buffered records + metric/profile
@@ -319,11 +269,12 @@ class StreamingRecorder(CompactingRecorder):
                 "dropped_events": self.dropped_events,
             },
             "events": [record_as_dict(r) for r in records],
-            "metrics": self._metrics_record(),
+            "metrics": self._metrics_stream.push(self.metrics.snapshot()),
         }
-        profile = self._profile_record()
-        if profile is not None:
-            payload["profile"] = profile
+        if self.profiler is not None:
+            payload["profile"] = self._profile_stream.push(
+                self.profiler.snapshot()
+            )
         if self.wants_context and self.contexts is not None:
             fresh = self.contexts.entries_since(self._ctx_mark)
             if fresh:
@@ -440,43 +391,23 @@ class SpoolReader:
 
     # -- snapshot reconstruction ---------------------------------------------
 
+    def _replay(self, field: str, schema: Kind) -> List[Dict[str, Any]]:
+        return list(replay(
+            schema, [epoch.get(field) for epoch in self.epochs],
+            label=f"spool {self.path.name}: {field} of epoch",
+        ))
+
     def metrics_snapshots(self) -> List[Dict[str, Dict[str, Any]]]:
         """Replay the per-epoch metric records into full snapshots."""
-        out: List[Dict[str, Dict[str, Any]]] = []
-        registry: Optional[MetricsRegistry] = None
-        for epoch in self.epochs:
-            record = epoch.get("metrics")
-            if record is None:
-                continue
-            if record["kind"] == "keyframe":
-                registry = MetricsRegistry()
-                registry.merge_snapshot(record["snapshot"])
-            else:
-                if registry is None:
-                    raise ReproError("spool: delta before any keyframe")
-                registry.merge_snapshot(record["changed"])
-            out.append(registry.snapshot())
-        return out
+        return self._replay("metrics", METRICS)
 
     def final_metrics(self) -> Dict[str, Dict[str, Any]]:
         snapshots = self.metrics_snapshots()
         return snapshots[-1] if snapshots else {}
 
     def profile_snapshots(self) -> List[Dict[str, Any]]:
-        out: List[Dict[str, Any]] = []
-        state: Optional[Dict[str, Any]] = None
-        for epoch in self.epochs:
-            record = epoch.get("profile")
-            if record is None:
-                continue
-            if record["kind"] == "keyframe":
-                state = record["snapshot"]
-            else:
-                if state is None:
-                    raise ReproError("spool: profile delta before keyframe")
-                state = merge_snapshots([state, record["changed"]])
-            out.append(state)
-        return out
+        """Replay the per-epoch profile records into full snapshots."""
+        return self._replay("profile", PROFILE)
 
     def final_profile(self) -> Optional[Dict[str, Any]]:
         snapshots = self.profile_snapshots()
