@@ -266,14 +266,15 @@ def reconcile_manifest(manifest) -> ReconcileVerdict:
 
     Reads the certificate embedded under ``manifest.analysis`` and the
     stats dict recorded at run time; raises :class:`AnalysisError` when
-    the manifest was produced without the auditor enabled.
+    the manifest carries no certificate (every ``ExperimentRunner``
+    manifest does).
     """
     payload = getattr(manifest, "analysis", None) or {}
     cert_payload = payload.get("certificate")
     if not cert_payload:
         raise AnalysisError(
             "manifest carries no cost certificate "
-            "(was the run audited? see ExperimentRunner(audit=...))"
+            "(not written by ExperimentRunner?)"
         )
     certificate = CostCertificate.from_dict(cert_payload)
     return reconcile(certificate, manifest.stats)

@@ -44,20 +44,16 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.adaptive import AdaptiveController
 from repro.analysis import (
     BUDGETS,
-    IncrementalCertifier,
-    Severity,
     StrategyPlan,
     Suppressions,
     audit_program,
     findings_document,
     plan_program,
-    reconcile,
-    reconcile_profile,
 )
 from repro.bytecode import disassemble_program
 from repro.errors import ReproError
@@ -76,8 +72,11 @@ from repro.harness import (
 )
 from repro.harness.experiment import (
     COMPACTION_MATRIX_STRATEGIES,
+    STAGES,
+    Cell,
     RunSpec,
     make_instrumentations,
+    run_stages,
 )
 from repro.profiles import profile_summary
 from repro.profiling import (
@@ -85,17 +84,13 @@ from repro.profiling import (
     DEFAULT_NOISE_PCT,
     DEFAULT_WINDOW,
     LEDGER_FILENAME,
-    OverheadProfiler,
     PerfLedger,
-    decompose,
     write_chrome_flame,
     write_collapsed,
     write_speedscope,
 )
-from repro.sampling import SamplingFramework, Strategy, make_trigger
+from repro.sampling import SamplingFramework, Strategy
 from repro.telemetry import (
-    CompactingRecorder,
-    TelemetryRecorder,
     events_to_chrome_trace,
     events_to_jsonl,
     quantile_from_buckets,
@@ -104,7 +99,8 @@ from repro.telemetry import (
     write_compact_jsonl,
     write_jsonl,
 )
-from repro.vm import VM, run_program
+from repro.vm import run_program
+from repro.vm.engine import resolve_engine
 from repro.workloads import all_workloads, get_workload
 
 _TABLES = {
@@ -179,70 +175,40 @@ def _safe_label(label: str) -> str:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    program, label = _compile_target(args, "profile")
-    base = run_program(program, fuel=args.fuel, engine=args.engine)
-
-    kinds = tuple(k.strip() for k in args.instrument.split(",") if k.strip())
-    instrumentations = make_instrumentations(kinds)
-    strategy = _resolve_strategy(args.strategy)
-    framework = SamplingFramework(
-        strategy,
-        yieldpoint_opt=args.yieldpoint_opt,
-        sample_iterations=args.iterations,
+    cell = _run_cell(
+        args, verify=True,
+        profile_interval=(
+            None if args.no_self_profile else args.profile_interval
+        ),
     )
-    transformed = framework.transform(program, instrumentations)
-
-    if strategy is Strategy.EXHAUSTIVE:
-        trigger = make_trigger("never")
-    else:
-        trigger = make_trigger(args.trigger, args.interval)
-    profiler = (
-        None
-        if args.no_self_profile
-        else OverheadProfiler(interval=args.profile_interval)
-    )
-    started = time.perf_counter()
-    result = run_program(
-        transformed,
-        trigger=trigger,
-        timer_period=args.timer_period,
-        fuel=args.fuel,
-        engine=args.engine,
-        profiler=profiler,
-    )
-    measured_wall = time.perf_counter() - started
-    if result.value != base.value:
-        print("error: transformed program diverged", file=sys.stderr)
-        return 1
-
-    overhead = 100.0 * (result.stats.cycles / base.stats.cycles - 1.0)
+    base, stats = cell.baseline.stats, cell.result.stats
+    overhead = 100.0 * (stats.cycles / base.cycles - 1.0)
     print(
-        f"baseline {base.stats.cycles} cycles; instrumented "
-        f"{result.stats.cycles} cycles ({overhead:+.2f}%); "
-        f"{result.stats.samples_taken} samples"
+        f"baseline {base.cycles} cycles; instrumented "
+        f"{stats.cycles} cycles ({overhead:+.2f}%); "
+        f"{stats.samples_taken} samples"
     )
-    for instr in instrumentations:
+    for instr in cell.instrumentations:
         print()
         print(profile_summary(instr.profile, top_n=args.top))
-    if profiler is not None:
-        snapshot = profiler.snapshot()
-        verdict = reconcile_profile(snapshot)
-        report = decompose(snapshot, measured_wall=measured_wall)
+    if cell.profile is not None:
+        stacks = cell.profile["snapshot"]["stacks"]
+        report = cell.decomposition
         print()
         print(report.render())
-        print(f"sample bound: {verdict.summary()}")
-        stacks_out = args.stacks_out or f"{_safe_label(label)}.collapsed"
-        write_collapsed(snapshot["stacks"], stacks_out)
+        print(f"sample bound: {cell.bound.summary()}")
+        stacks_out = (
+            args.stacks_out or f"{_safe_label(cell.label)}.collapsed"
+        )
+        write_collapsed(stacks, stacks_out)
         print(f"collapsed stacks -> {stacks_out}")
         if args.speedscope_out:
-            write_speedscope(
-                snapshot["stacks"], args.speedscope_out, name=label
-            )
+            write_speedscope(stacks, args.speedscope_out, name=cell.label)
             print(f"speedscope profile -> {args.speedscope_out}")
         if args.flame_out:
-            write_chrome_flame(snapshot["stacks"], args.flame_out)
+            write_chrome_flame(stacks, args.flame_out)
             print(f"chrome flame trace -> {args.flame_out}")
-        if not verdict.ok or not report.reconciles():
+        if not report.reconciles():
             return 1
     return 0
 
@@ -335,63 +301,55 @@ def _resolve_strategy(name: str) -> Strategy:
         ) from None
 
 
-def _compile_target(args: argparse.Namespace, commands: str):
-    """Resolve FILE / --workload into (program, label)."""
+def _targets(args: argparse.Namespace, every: bool = False):
+    """Resolve FILE / --workload NAME (or, with *every*, --workload all)
+    into (label, program) pairs."""
+    if every and args.workload == "all":
+        return [(w.name, w.compile(args.scale)) for w in all_workloads()]
     if args.workload is not None:
         workload = get_workload(args.workload)
-        return workload.compile(args.scale), workload.name
+        return [(workload.name, workload.compile(args.scale))]
     if args.file is not None:
-        return compile_baseline(_read_source(args.file)), args.file
-    raise ReproError(f"{commands} need a FILE or --workload NAME")
+        return [(args.file, compile_baseline(_read_source(args.file)))]
+    name = "NAME|all" if every else "NAME"
+    raise ReproError(f"{args.command}: need a FILE or --workload {name}")
 
 
-def _telemetry_run(args: argparse.Namespace, profiler=None):
-    """Shared backend for ``trace``, ``metrics`` and ``audit``: compile
-    the target, transform it per the requested strategy, and run it with
-    a :class:`TelemetryRecorder` attached. Dynamic targets (programs
-    with loadables) additionally get an :class:`IncrementalCertifier`
-    subscribed to the load/replace event stream. Returns (recorder,
-    result, label, transformed, strategy, measured_wall, certifier)."""
-    program, label = _compile_target(args, "trace/metrics")
+def _kinds(args: argparse.Namespace) -> Tuple[str, ...]:
+    """The ``--instrument`` kinds, comma-separated."""
+    return tuple(k.strip() for k in args.instrument.split(",") if k.strip())
 
+
+def _run_cell(
+    args: argparse.Namespace, verify: bool = False, **observe
+) -> Cell:
+    """Run FILE / --workload through the harness cell stages, per the
+    run options; *observe* picks the recorder and profiler
+    (:meth:`Cell.observe`). Only with *verify* does the cell get a
+    baseline run and the ``verify`` stage."""
+    [(label, program)] = _targets(args)
     strategy = _resolve_strategy(args.strategy)
-    kinds = tuple(k.strip() for k in args.instrument.split(",") if k.strip())
-    instrumentations = make_instrumentations(kinds)
-    framework = SamplingFramework(strategy)
-    transformed = framework.transform(program, instrumentations)
-
-    if strategy is Strategy.EXHAUSTIVE:
-        trigger = make_trigger("never")
-    else:
-        trigger = make_trigger(args.trigger, args.interval)
-    recorder = (
-        CompactingRecorder(capacity=args.capacity)
-        if getattr(args, "compact", False)
-        else TelemetryRecorder(capacity=args.capacity)
-    )
-    certifier = None
-    if transformed.is_dynamic():
-        certifier = IncrementalCertifier.from_program(
-            transformed, strategy=strategy.value, label=label
-        )
-    vm = VM(
-        transformed,
-        trigger=trigger,
+    spec = RunSpec(
+        workload=label,
+        strategy=strategy,
+        instrumentation=_kinds(args),
+        # Exhaustive code has no checks for a trigger to fire.
+        trigger="never" if strategy is Strategy.EXHAUSTIVE else args.trigger,
+        interval=args.interval,
+        yieldpoint_opt=getattr(args, "yieldpoint_opt", False),
+        scale=args.scale,
         timer_period=args.timer_period,
-        fuel=args.fuel,
-        engine=args.engine,
-        recorder=recorder,
-        profiler=profiler,
     )
-    if certifier is not None:
-        certifier.attach(vm)
-    started = time.perf_counter()
-    result = vm.run()
-    measured_wall = time.perf_counter() - started
-    # Ring/compaction state becomes metrics before anyone snapshots them.
-    recorder.sync_metrics()
-    return recorder, result, label, transformed, strategy, measured_wall, \
-        certifier
+    cell = Cell(
+        spec, program, label, resolve_engine(args.engine), fuel=args.fuel,
+        sample_iterations=getattr(args, "iterations", 1),
+        program_rules=args.command == "audit",
+    )
+    cell.observe(**observe)
+    if not verify:
+        return run_stages(cell, [s for s in STAGES if s != "verify"])
+    cell.baseline = run_program(program, fuel=args.fuel, engine=args.engine)
+    return run_stages(cell)
 
 
 def _render_trace_stats(label, summary, stats) -> List[str]:
@@ -422,20 +380,16 @@ def _render_trace_stats(label, summary, stats) -> List[str]:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    if args.format == "compact":
+    cell = _run_cell(
+        args, telemetry=True, capacity=args.capacity,
         # The compact codec encodes records; make sure we collect them.
-        args.compact = True
-    recorder, result, label, _transformed, _strategy, _wall, _certifier = (
-        _telemetry_run(args)
+        compaction=args.compact or args.format == "compact",
     )
+    recorder, result, label = cell.recorder, cell.result, cell.label
     # events() inflates compacted records, so every export format sees
     # the exact stream a plain recorder would have retained.
     events = recorder.events()
-    records = (
-        recorder.records()
-        if isinstance(recorder, CompactingRecorder)
-        else events
-    )
+    records = cell.records if cell.records is not None else events
     summary = recorder.summary()
     if args.stats:
         print("\n".join(_render_trace_stats(label, summary, result.stats)))
@@ -483,27 +437,18 @@ def _quantile_suffix(payload) -> str:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    profiler = (
-        OverheadProfiler(interval=args.profile_interval)
-        if args.profile_vm
-        else None
+    cell = _run_cell(
+        args, telemetry=True, capacity=args.capacity,
+        profile_interval=args.profile_interval if args.profile_vm else None,
     )
-    recorder, result, label, transformed, strategy, measured_wall, \
-        certifier = _telemetry_run(args, profiler=profiler)
+    recorder, result, label = cell.recorder, cell.result, cell.label
     snapshot = recorder.metrics.snapshot()
-    report = audit_program(transformed, strategy=strategy.value, label=label)
-    if certifier is not None:
-        verdict = reconcile(certifier.dynamic_certificate(), result.stats)
-    elif report.certificate is not None:
-        verdict = reconcile(report.certificate, result.stats)
-    else:
-        verdict = None
     if args.json:
         payload = dict(snapshot)
-        if profiler is not None:
+        if cell.profile is not None:
             payload["vm.self_profile"] = {
                 "type": "profile",
-                "snapshot": profiler.snapshot(),
+                "snapshot": cell.profile["snapshot"],
             }
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
@@ -523,23 +468,19 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                   + _quantile_suffix(payload))
         else:
             print(f"  {key}  {payload['value']}")
+    report, certifier = cell.audit, cell.certifier
     print(f"  audit: {report.summary()}")
-    if report.certificate is not None:
-        cert = report.certificate
-        print(f"  certificate: {cert.static_checks} static check(s), "
-              f"{cert.guarded_sites} guarded site(s); {cert.formula}")
-    if verdict is not None:
-        print(f"  reconcile: {verdict.summary()}")
+    cert = report.certificate
+    print(f"  certificate: {cert.static_checks} static check(s), "
+          f"{cert.guarded_sites} guarded site(s); {cert.formula}")
+    print(f"  reconcile: {cell.verdict.summary()}")
     if certifier is not None:
         print(f"  incremental: {certifier.loads} load(s), "
-              f"{certifier.replaces} replace(s), "
-              f"{'ok' if certifier.ok else 'FAILED'}")
-    if profiler is not None:
-        prof_snapshot = profiler.snapshot()
-        prof_verdict = reconcile_profile(prof_snapshot)
+              f"{certifier.replaces} replace(s), ok")
+    if cell.profile is not None:
         print()
-        print(decompose(prof_snapshot, measured_wall=measured_wall).render())
-        print(f"sample bound: {prof_verdict.summary()}")
+        print(cell.decomposition.render())
+        print(f"sample bound: {cell.bound.summary()}")
     return 0
 
 
@@ -644,9 +585,7 @@ def cmd_compact(args: argparse.Namespace) -> int:
         telemetry=True, compaction=True, engine=args.engine, jobs=args.jobs,
         telemetry_capacity=args.capacity,
     )
-    instrumentation = tuple(
-        k.strip() for k in args.instrument.split(",") if k.strip()
-    )
+    instrumentation = _kinds(args)
     if args.matrix:
         workloads = [w.name for w in all_workloads()]
         strategies = list(COMPACTION_MATRIX_STRATEGIES)
@@ -737,17 +676,7 @@ def _lint_cells(args: argparse.Namespace):
     ]
     if not strategies:
         raise ReproError("lint needs at least one --strategy")
-    if args.workload is not None:
-        if args.workload == "all":
-            targets = [(w.name, w.compile(args.scale)) for w in all_workloads()]
-        else:
-            workload = get_workload(args.workload)
-            targets = [(workload.name, workload.compile(args.scale))]
-    elif args.file is not None:
-        targets = [(args.file, compile_baseline(_read_source(args.file)))]
-    else:
-        raise ReproError("lint needs a FILE or --workload NAME|all")
-    for label, program in targets:
+    for label, program in _targets(args, every=True):
         for strategy in strategies:
             yield label, strategy, program
 
@@ -763,7 +692,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     suppressions = (
         Suppressions.parse(args.suppress) if args.suppress else None
     )
-    kinds = tuple(k.strip() for k in args.instrument.split(",") if k.strip())
+    kinds = _kinds(args)
     reports = []
     for label, strategy, program in _lint_cells(args):
         framework = SamplingFramework(strategy)
@@ -798,37 +727,17 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    recorder, result, label, transformed, strategy, _wall, certifier = (
-        _telemetry_run(args)
-    )
-    report = audit_program(
-        transformed, strategy=strategy.value, label=label,
-        program_rules=True,
-    )
-    if certifier is not None:
-        # Dynamic target: validate against the incrementally maintained
-        # certificate — loaded code may carry checks the pre-run audit
-        # never saw.
-        verdict = reconcile(certifier.dynamic_certificate(), result.stats)
-    else:
-        verdict = reconcile(report.certificate, result.stats)
+    cell = _run_cell(args, telemetry=True, capacity=args.capacity)
+    report, verdict, certifier = cell.audit, cell.verdict, cell.certifier
     payload = {
         "report": report.as_dict(),
         "verdict": verdict.as_dict(),
-        "stats": result.stats.as_dict(),
+        "stats": cell.result.stats.as_dict(),
         "incremental": (
             certifier.as_dict() if certifier is not None else None
         ),
     }
-    extra_failures = int(not verdict.ok)
-    if certifier is not None and not certifier.ok:
-        extra_failures += 1
-    document = findings_document(
-        "audit",
-        report.findings,
-        reports=[payload],
-        extra_failures=extra_failures,
-    )
+    document = findings_document("audit", report.findings, reports=[payload])
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
@@ -842,27 +751,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
         print(f"certificate: {cert.static_checks} static check(s), "
               f"{cert.guarded_sites} guarded site(s); {cert.formula}")
         if certifier is not None:
-            dyn = certifier.dynamic_certificate()
             print(f"incremental: {certifier.loads} load(s), "
                   f"{certifier.replaces} replace(s), "
-                  f"{len(certifier.events)} event(s), "
-                  f"{'ok' if certifier.ok else 'FAILED'}; {dyn.formula}")
+                  f"{len(certifier.events)} event(s), ok; {verdict.formula}")
         print(f"reconcile: {verdict.summary()}")
         if args.out is not None:
             print(f"wrote {args.out}")
     return 0 if document["ok"] else 1
-
-
-def _plan_targets(args: argparse.Namespace):
-    """Resolve (label, program) planning targets from the CLI args."""
-    if args.workload is not None:
-        if args.workload == "all":
-            return [(w.name, w.compile(args.scale)) for w in all_workloads()]
-        workload = get_workload(args.workload)
-        return [(workload.name, workload.compile(args.scale))]
-    if args.file is not None:
-        return [(args.file, compile_baseline(_read_source(args.file)))]
-    raise ReproError("plan needs a FILE or --workload NAME|all")
 
 
 def _previous_plans(path: str):
@@ -882,7 +777,7 @@ def _previous_plans(path: str):
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    kinds = tuple(k.strip() for k in args.instrument.split(",") if k.strip())
+    kinds = _kinds(args)
     plans = [
         plan_program(
             program,
@@ -891,7 +786,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             interval=args.interval,
             label=label,
         )
-        for label, program in _plan_targets(args)
+        for label, program in _targets(args, every=True)
     ]
     previous = _previous_plans(args.diff) if args.diff else None
     reports = []
@@ -1028,6 +923,35 @@ def _add_engine_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_cell_args(p: argparse.ArgumentParser, fuel: int) -> None:
+    """Target and run options of the commands that run one harness
+    cell: ``profile``, ``trace``, ``metrics`` and ``audit``."""
+    p.add_argument("file", nargs="?", default=None,
+                   help="MiniJ source file, or - for stdin")
+    p.add_argument("--workload", default=None,
+                   help="run a benchmark-suite member instead of a file")
+    p.add_argument("--scale", type=int, default=None)
+    p.add_argument(
+        "--instrument",
+        default="call-edge",
+        help="comma-separated kinds: call-edge, field-access, block-count, "
+        "edge-profile, param-value, path-profile",
+    )
+    p.add_argument(
+        "--strategy",
+        default="full-duplication",
+        help="transform strategy; canonical names or shorthands "
+        "(full, partial, none, entry, backedge)",
+    )
+    p.add_argument("--trigger", default="counter",
+                   choices=["counter", "timer", "randomized",
+                            "per-thread-counter", "never"])
+    p.add_argument("--interval", type=int, default=1000)
+    p.add_argument("--timer-period", type=int, default=100_000)
+    p.add_argument("--fuel", type=int, default=fuel)
+    _add_engine_arg(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1054,34 +978,12 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="instrument, sample, report — and self-profile the VM",
     )
-    p.add_argument("file", nargs="?", default=None,
-                   help="MiniJ source file, or - for stdin")
-    p.add_argument("--workload", default=None,
-                   help="profile a benchmark-suite member instead of a file")
-    p.add_argument("--scale", type=int, default=None)
-    p.add_argument(
-        "--instrument",
-        default="call-edge",
-        help="comma-separated kinds: call-edge, field-access, block-count, "
-        "edge-profile, param-value, path-profile",
-    )
-    p.add_argument(
-        "--strategy",
-        default="full-duplication",
-        help="transform strategy; canonical names or shorthands "
-        "(full, partial, none, entry, backedge)",
-    )
-    p.add_argument("--trigger", default="counter",
-                   choices=["counter", "timer", "randomized",
-                            "per-thread-counter", "never"])
-    p.add_argument("--interval", type=int, default=1000)
+    _add_cell_args(p, fuel=100_000_000)
     p.add_argument("--iterations", type=int, default=1,
                    help="consecutive loop iterations per sample (counted "
                    "backedges)")
-    p.add_argument("--timer-period", type=int, default=100_000)
     p.add_argument("--yieldpoint-opt", action="store_true")
     p.add_argument("--top", type=int, default=10)
-    p.add_argument("--fuel", type=int, default=100_000_000)
     p.add_argument(
         "--profile-interval", type=int, default=DEFAULT_PROFILE_INTERVAL,
         help="observer boundaries per VM self-profiler sample",
@@ -1102,7 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--flame-out", default=None,
         help="also write a Chrome trace_event flame graph",
     )
-    _add_engine_arg(p)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("adaptive", help="profile-directed optimization demo")
@@ -1237,27 +1138,9 @@ def build_parser() -> argparse.ArgumentParser:
          cmd_audit),
     ):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("file", nargs="?", default=None,
-                       help="MiniJ source file, or - for stdin")
-        p.add_argument("--workload", default=None,
-                       help="run a benchmark-suite member instead of a file")
-        p.add_argument("--scale", type=int, default=None)
-        p.add_argument(
-            "--strategy",
-            default="full-duplication",
-            help="transform strategy; canonical names or shorthands "
-            "(full, partial, none, entry, backedge)",
-        )
-        p.add_argument("--instrument", default="call-edge")
-        p.add_argument("--trigger", default="counter",
-                       choices=["counter", "timer", "randomized",
-                                "per-thread-counter", "never"])
-        p.add_argument("--interval", type=int, default=1000)
-        p.add_argument("--timer-period", type=int, default=100_000)
+        _add_cell_args(p, fuel=200_000_000)
         p.add_argument("--capacity", type=int, default=65536,
                        help="event-ring capacity (oldest evicted beyond)")
-        p.add_argument("--fuel", type=int, default=200_000_000)
-        _add_engine_arg(p)
         if name == "trace":
             p.add_argument("--format", default="chrome",
                            choices=["chrome", "jsonl", "compact"])
@@ -1408,7 +1291,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        stage = getattr(exc, "stage", None)
+        where = f"[{stage}] " if stage is not None else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -91,7 +91,11 @@ class FuelExhaustedError(VMError):
 
 
 class HarnessError(ReproError):
-    """An experiment configuration is inconsistent or unrunnable."""
+    """An experiment configuration is inconsistent or unrunnable, or a
+    cell failed a check. ``stage`` names the cell-pipeline stage it was
+    raised in (:func:`repro.harness.experiment.run_stages`), if any."""
+
+    stage = None
 
 
 class AnalysisError(ReproError):

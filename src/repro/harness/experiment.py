@@ -4,7 +4,9 @@ sampling strategies, triggers and the VM into measured runs.
 Every benchmark in ``benchmarks/`` and every table generator in
 :mod:`repro.harness.tables` goes through :class:`ExperimentRunner`, so
 they all share baseline caching, semantic-preservation tripwires, and
-Property-1 verification.
+Property-1 verification. Each cell runs the stages of :data:`STAGES`
+over one :class:`Cell`; the ``trace``, ``metrics``, ``audit`` and
+``profile`` commands run the same stages (docs/HARNESS.md).
 """
 
 from __future__ import annotations
@@ -13,11 +15,14 @@ import os
 import re
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.analysis import (
     AuditReport,
     IncrementalCertifier,
+    ReconcileVerdict,
     Severity,
     audit_program,
     reconcile,
@@ -54,16 +59,18 @@ from repro.instrument import (
 )
 from repro.instrument.base import EmptyInstrumentation
 from repro.profiles.profile import Profile
-from repro.profiling.decomposition import decompose
+from repro.profiling.decomposition import DecompositionReport, decompose
 from repro.profiling.ledger import PerfLedger, make_record, resolve_ledger
 from repro.profiling.profiler import (
     DEFAULT_INTERVAL as DEFAULT_PROFILE_INTERVAL,
     OverheadProfiler,
     merge_snapshots,
 )
-from repro.sampling.framework import SamplingFramework, Strategy, TransformReport
+from repro.sampling.framework import (
+    SamplingFramework, Strategy, TransformReport, transform_planned,
+)
 from repro.sampling.properties import property1_vs_baseline
-from repro.sampling.triggers import make_trigger
+from repro.sampling.triggers import Trigger, make_trigger
 from repro.profiles.overlap import overlap_percentage
 from repro.telemetry.compaction import (
     CompactingRecorder,
@@ -79,6 +86,7 @@ from repro.telemetry.exporters import (
 from repro.telemetry.manifest import RunManifest, spec_as_dict
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.recorder import TelemetryRecorder
+from repro.telemetry.streaming import StreamingRecorder
 from repro.vm.cost_model import CostModel
 from repro.vm.engine import resolve_engine
 from repro.vm.interpreter import VM, VMResult
@@ -168,7 +176,7 @@ class RunResult:
     transform_report: Optional[TransformReport] = None
     transform_seconds: float = 0.0
     code_bytes: int = 0
-    #: static audit of the transformed program (None with auditing off)
+    #: static audit of the transformed program
     audit: Optional[AuditReport] = None
     #: provenance document when the runner has telemetry enabled
     #: (picklable, so pool workers ship it back with the result)
@@ -199,8 +207,374 @@ class CellRecord:
     baseline_cache_hit: bool = False
 
 
+@dataclass
+class Cell:
+    """One experiment cell on its way through :data:`STAGES`.
+
+    :meth:`ExperimentRunner.run` and the ``trace``, ``metrics``,
+    ``audit`` and ``profile`` commands each build one and hand it to
+    :func:`run_stages`; every stage reads what the earlier ones filled
+    in and adds its own fields. A cell is single-use: its trigger,
+    recorder and profiler are stateful.
+    """
+
+    spec: RunSpec
+    #: the untransformed program
+    program: Program
+    #: names the cell in errors, audit reports and certificates
+    label: str
+    engine: str
+    #: the untransformed program's run, which ``verify`` compares against
+    baseline: Optional[VMResult] = None
+    cost_model: CostModel = field(default_factory=CostModel)
+    fuel: int = DEFAULT_FUEL
+    #: consecutive loop iterations per sample (full duplication)
+    sample_iterations: int = 1
+    #: also run the whole-program lint rules in ``audit``
+    program_rules: bool = False
+    #: receives the stages' ``harness.*`` counters
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+    #: start of the cell's wall time (the manifest's ``wall_seconds``)
+    started: float = field(default_factory=time.perf_counter)
+    recorder: Optional[TelemetryRecorder] = None
+    profiler: Optional[OverheadProfiler] = None
+    # -- stage outputs --------------------------------------------------
+    instrumentations: List[Instrumentation] = field(default_factory=list)
+    transformed: Optional[Program] = None
+    transform_report: Optional[TransformReport] = None
+    transform_seconds: float = 0.0
+    audit: Optional[AuditReport] = None
+    certifier: Optional[IncrementalCertifier] = None
+    trigger: Optional[Trigger] = None
+    seed: Optional[int] = None
+    result: Optional[VMResult] = None
+    #: VM construction plus ``run()``; the decomposition's measured wall
+    vm_seconds: float = 0.0
+    verdict: Optional[ReconcileVerdict] = None
+    #: profiler sample-bound verdict and overhead decomposition
+    bound: Optional[ReconcileVerdict] = None
+    decomposition: Optional[DecompositionReport] = None
+    #: {"snapshot", "decomposition", "bound"} — plain dicts, picklable
+    profile: Optional[Dict[str, object]] = None
+    records: Optional[Tuple[Record, ...]] = None
+    spool: Optional[str] = None
+    manifest: Optional[RunManifest] = None
+
+    def observe(
+        self,
+        telemetry: bool = False,
+        capacity: int = 65536,
+        compaction: bool = False,
+        spool: Optional[str] = None,
+        profile_interval: Optional[int] = None,
+    ) -> None:
+        """Choose the cell's profiler and recorder.
+
+        *profile_interval* attaches an :class:`OverheadProfiler`
+        (context-keyed when streaming). *spool* streams epochs to that
+        directory through a :class:`StreamingRecorder`; otherwise
+        *telemetry* attaches a plain or, with *compaction*, a
+        compacting recorder.
+        """
+        if profile_interval is not None:
+            self.profiler = OverheadProfiler(
+                interval=profile_interval, cct=spool is not None
+            )
+        spec = self.spec
+        if spool is not None:
+            self.recorder = StreamingRecorder(
+                spool,
+                capacity=capacity,
+                profiler=self.profiler,
+                label=self.label,
+                meta=dict(
+                    workload=spec.workload, strategy=spec.strategy.value,
+                    engine=self.engine, trigger=spec.trigger,
+                    interval=spec.interval,
+                    instrumentation=list(spec.instrumentation),
+                ),
+            )
+        elif telemetry:
+            self.recorder = (
+                CompactingRecorder(capacity=capacity)
+                if compaction
+                else TelemetryRecorder(capacity=capacity)
+            )
+
+    def run_result(self) -> RunResult:
+        """The :class:`RunResult` of a cell that passed every stage."""
+        value, stats = self.result.value, self.result.stats
+        return RunResult(
+            self.spec, value, stats.cycles, stats,
+            profiles={i.profile.name: i.profile for i in self.instrumentations},
+            transform_report=self.transform_report,
+            transform_seconds=self.transform_seconds,
+            code_bytes=self.transformed.total_code_size_bytes(),
+            audit=self.audit,
+            manifest=self.manifest,
+            vm_seconds=self.vm_seconds,
+            profile=self.profile,
+            records=self.records,
+            spool=self.spool,
+        )
+
+
+def spec_trigger(spec: RunSpec) -> Tuple[Trigger, Optional[int]]:
+    """The sampling trigger *spec* describes, and the seed it uses.
+
+    A randomized trigger is seeded from the spec — its explicit seed,
+    else :func:`cell_seed` — so the jitter stream, and with it the
+    cell's result, is independent of process, order and pool size.
+    """
+    if spec.trigger == "randomized":
+        seed = spec.seed if spec.seed is not None else cell_seed(spec)
+        return make_trigger(spec.trigger, spec.interval, seed=seed), seed
+    if spec.trigger == "counter" and spec.phase:
+        trigger = make_trigger(spec.trigger, spec.interval, phase=spec.phase)
+    else:
+        trigger = make_trigger(spec.trigger, spec.interval)
+    return trigger, spec.seed
+
+
+def _transform(cell: Cell) -> None:
+    spec = cell.spec
+    cell.instrumentations = make_instrumentations(spec.instrumentation)
+    started = time.perf_counter()
+    if spec.plan is not None:
+        # Mixed-strategy transform: each function under its planned
+        # strategy, spec.strategy as the default, and a PlannedLoader
+        # keeping dynamically arriving code on plan.
+        cell.transformed = transform_planned(
+            cell.program, cell.instrumentations, dict(spec.plan),
+            default=spec.strategy, yieldpoint_opt=spec.yieldpoint_opt,
+        )
+    else:
+        framework = SamplingFramework(
+            spec.strategy, yieldpoint_opt=spec.yieldpoint_opt,
+            sample_iterations=cell.sample_iterations,
+        )
+        checks_only = spec.strategy in (
+            Strategy.CHECKS_ONLY_ENTRY, Strategy.CHECKS_ONLY_BACKEDGE,
+        )
+        cell.transformed = framework.transform(
+            cell.program, None if checks_only else cell.instrumentations
+        )
+        cell.transform_report = framework.last_report
+    cell.transform_seconds = time.perf_counter() - started
+
+
+def _audit(cell: Cell) -> None:
+    # Planned programs mix strategies, so the per-function
+    # ``notes["sampling"]`` stamps are authoritative for the audit (a
+    # single expected strategy would raise AUD009 mismatches).
+    spec = cell.spec
+    strategy = None if spec.plan is not None else spec.strategy.value
+    report = audit_program(
+        cell.transformed, strategy=strategy, label=cell.label,
+        program_rules=cell.program_rules,
+    )
+    cell.audit = report
+    cell.metrics.counter("harness.audit.cells").inc()
+    if report.findings:
+        cell.metrics.counter("harness.audit.findings").inc(
+            len(report.findings)
+        )
+    if not report.ok:
+        raise HarnessError(
+            f"{cell.label}: static audit failed\n" + report.render()
+        )
+    # Dynamic programs change their function table mid-run, so the
+    # pre-run certificate stops describing the executed code: an
+    # incremental certifier audits every loaded/replaced function at
+    # its load event and maintains the certificate by deltas.
+    if cell.transformed.is_dynamic():
+        cell.certifier = IncrementalCertifier.from_program(
+            cell.transformed, strategy=strategy, label=cell.label
+        )
+
+
+def _execute(cell: Cell) -> None:
+    cell.trigger, cell.seed = spec_trigger(cell.spec)
+    started = time.perf_counter()
+    vm = VM(
+        cell.transformed, cost_model=cell.cost_model, trigger=cell.trigger,
+        timer_period=cell.spec.timer_period, fuel=cell.fuel,
+        engine=cell.engine, recorder=cell.recorder, profiler=cell.profiler,
+    )
+    if cell.certifier is not None:
+        cell.certifier.attach(vm)
+    cell.result = vm.run()
+    cell.vm_seconds = time.perf_counter() - started
+
+
+_DUPLICATING = frozenset(
+    {Strategy.FULL_DUPLICATION.value, Strategy.PARTIAL_DUPLICATION.value}
+)
+
+
+def _verify(cell: Cell) -> None:
+    result, base, spec = cell.result, cell.baseline, cell.spec
+    if result.value != base.value or result.output != base.output:
+        raise HarnessError(
+            f"{cell.label}: transformed program diverged "
+            f"(value {result.value} vs {base.value})"
+        )
+    strategies = {spec.strategy.value}
+    strategies.update(value for _, value in spec.plan or ())
+    if strategies & _DUPLICATING and not property1_vs_baseline(
+        result.stats, base.stats
+    ):
+        raise HarnessError(
+            f"{cell.label}: Property 1 violated "
+            f"(checks={result.stats.checks_executed}, "
+            f"bound={base.stats.check_opportunities})"
+        )
+
+
+def _reconcile(cell: Cell) -> None:
+    """Hold the run's check counters to the cell's certificate: the
+    incrementally maintained one for dynamic programs (code loaded
+    mid-run can introduce checks the pre-run certificate never
+    promised), else the static audit's. Planned (mixed-strategy) runs
+    reconcile per function when telemetry is on — a no-duplication
+    function must never execute a CHECK — and against the whole-program
+    bound otherwise."""
+    certifier, stats = cell.certifier, cell.result.stats
+    if certifier is not None and not certifier.ok:
+        raise HarnessError(
+            f"{cell.label}: dynamically loaded code failed its audit "
+            f"({certifier.loads} load(s), {certifier.replaces} replace(s))"
+        )
+    if certifier is not None:
+        certificate = certifier.dynamic_certificate()
+    else:
+        certificate = cell.audit.certificate
+    if cell.spec.plan is not None:
+        recorder = cell.recorder
+        measured = None if recorder is None else recorder.metrics.snapshot()
+        verdict = reconcile_plan(certificate, stats, measured)
+    else:
+        verdict = reconcile(certificate, stats)
+    cell.metrics.counter("harness.audit.reconciled").inc()
+    if not verdict.ok:
+        cell.metrics.counter("harness.audit.reconcile_violations").inc(
+            len(verdict.violations)
+        )
+        kind = "incremental cost" if certifier is not None else "cost"
+        raise HarnessError(
+            f"{cell.label}: run contradicts its {kind} certificate: "
+            + "; ".join(verdict.violations)
+        )
+    cell.verdict = verdict
+
+
+def _profile(cell: Cell) -> None:
+    if cell.profiler is None:
+        return
+    snapshot = cell.profiler.snapshot()
+    bound = reconcile_profile(snapshot)
+    cell.metrics.counter("harness.profile.cells").inc()
+    if not bound.ok:
+        raise HarnessError(
+            f"{cell.label}: profiler sample bound violated: "
+            + "; ".join(bound.violations)
+        )
+    cell.bound = bound
+    cell.decomposition = decompose(snapshot, measured_wall=cell.vm_seconds)
+    cell.profile = {
+        "snapshot": snapshot,
+        "decomposition": cell.decomposition.as_dict(),
+        "bound": bound.as_dict(),
+    }
+
+
+def _seal(cell: Cell) -> None:
+    recorder = cell.recorder
+    if recorder is None:
+        return
+    wall_seconds = time.perf_counter() - cell.started
+    # Ring occupancy / eviction / compaction counters become first-class
+    # metrics before the snapshot is frozen into the manifest.
+    recorder.sync_metrics()
+    if isinstance(recorder, StreamingRecorder):
+        # Seal the spool after metrics are frozen and before the
+        # manifest snapshot is taken, so the spool's merged end-of-run
+        # state and the manifest agree bit-for-bit.
+        recorder.close()
+        cell.spool = str(recorder.writer.path)
+        cell.metrics.counter("harness.stream.cells").inc()
+    if isinstance(recorder, CompactingRecorder):
+        cell.records = recorder.records()
+    audit, stats = cell.audit, cell.result.stats
+    cell.manifest = RunManifest(
+        spec=spec_as_dict(cell.spec),
+        engine=cell.engine,
+        trigger=cell.trigger.config(),
+        seed=cell.seed,
+        cycles=stats.cycles,
+        value=cell.result.value,
+        wall_seconds=wall_seconds,
+        stats=stats.as_dict(),
+        metrics=recorder.metrics.snapshot(),
+        telemetry=recorder.summary(),
+        source="serial",
+        analysis={
+            "ok": audit.ok,
+            "errors": audit.count(Severity.ERROR),
+            "warnings": audit.count(Severity.WARNING),
+            "certificate": audit.certificate.as_dict(),
+            "verdict": cell.verdict.as_dict(),
+            "incremental": (
+                cell.certifier.as_dict()
+                if cell.certifier is not None
+                else None
+            ),
+        },
+        profiling=cell.profile or {},
+        plan=_plan_section(cell.spec),
+    )
+
+
+#: The cell pipeline, in order. ``verify`` needs the cell's baseline;
+#: ``profile`` and ``seal`` do nothing without a profiler or recorder.
+STAGES: Dict[str, Callable[[Cell], None]] = {
+    "transform": _transform,
+    "audit": _audit,
+    "execute": _execute,
+    "verify": _verify,
+    "reconcile": _reconcile,
+    "profile": _profile,
+    "seal": _seal,
+}
+
+
+def run_stages(cell: Cell, stages: Iterable[str] = STAGES) -> Cell:
+    """Run the named *stages* of :data:`STAGES` over *cell*, in order.
+
+    A :class:`HarnessError` raised inside a stage leaves with its
+    ``stage`` attribute set to the stage's name.
+    """
+    for name in stages:
+        try:
+            STAGES[name](cell)
+        except HarnessError as exc:
+            if exc.stage is None:
+                exc.stage = name
+            raise
+    return cell
+
+
 class ExperimentRunner:
     """Caches per-workload baselines and runs configured experiments.
+
+    Every cell passes every check of :data:`STAGES`: it computes the
+    baseline's value and output, duplicating strategies keep Property 1,
+    its transformed program passes the static audit (plus load-time
+    audits for dynamic programs), and its check counters reconcile
+    against the cost certificate. A failure raises :class:`HarnessError`
+    naming the stage; the audit report and verdict ride on
+    :attr:`RunResult.audit` and (with telemetry on) in the manifest's
+    ``analysis`` section.
 
     Results are memoized per :class:`RunSpec` (cells are deterministic,
     so a repeat is always identical), baselines are additionally cached
@@ -211,17 +585,6 @@ class ExperimentRunner:
         cost_model: shared cycle model (one per runner so baselines and
             variants are comparable).
         fuel: interpreter instruction budget per run.
-        check_semantics: verify each transformed run computes the
-            baseline's value and output (cheap, catches transform bugs).
-        check_property1: verify Property 1 for duplication strategies
-            against the baseline run.
-        audit: run the static auditor (:mod:`repro.analysis`) over every
-            transformed program and reconcile each run's counters
-            against the derived cost certificate. Error-severity
-            findings and reconciliation violations raise
-            :class:`HarnessError`; the report and verdict ride on
-            :attr:`RunResult.audit` and (with telemetry on) in the
-            manifest's ``analysis`` section.
         cache: persistent baseline cache — a :class:`BaselineCache`, a
             directory path, True for the default directory, False to
             disable. The default (None) enables the cache only when
@@ -288,9 +651,6 @@ class ExperimentRunner:
         self,
         cost_model: Optional[CostModel] = None,
         fuel: int = DEFAULT_FUEL,
-        check_semantics: bool = True,
-        check_property1: bool = True,
-        audit: bool = True,
         cache: Union[BaselineCache, str, bool, None] = None,
         jobs: Optional[int] = None,
         engine: Optional[str] = None,
@@ -305,9 +665,6 @@ class ExperimentRunner:
     ):
         self.cost_model = cost_model or CostModel()
         self.fuel = fuel
-        self.check_semantics = check_semantics
-        self.check_property1 = check_property1
-        self.audit = bool(audit)
         self.baseline_cache = _resolve_cache(cache)
         self.jobs = jobs
         self.engine = resolve_engine(engine)
@@ -421,14 +778,21 @@ class ExperimentRunner:
                     f"harness.baseline_cache.{name}"
                 ).inc(amount)
 
-    def _absorb_manifest(self, manifest: RunManifest) -> None:
-        self.manifests.append(manifest)
-        self.metrics.merge_snapshot(manifest.metrics)
-
-    def _absorb_profile(self, snapshot: Dict[str, object]) -> None:
-        """Collect one cell's profiler snapshot (serial or shipped back
-        from a pool worker) for the sweep-level merged profile."""
-        self.profile_snapshots.append(snapshot)
+    def _absorb(
+        self, spec: RunSpec, result: RunResult, record: CellRecord
+    ) -> None:
+        """Fold one computed cell (serial, or shipped back from a pool
+        worker) into the memo, the metrics, the sweep-level profile, the
+        perf ledger and the cell log."""
+        self._run_memo[spec] = result
+        if result.manifest is not None:
+            result.manifest.source = record.source
+            self.manifests.append(result.manifest)
+            self.metrics.merge_snapshot(result.manifest.metrics)
+        if result.profile is not None:
+            self.profile_snapshots.append(result.profile["snapshot"])
+        self._ledger_append(spec, result)
+        self.cell_log.append(record)
 
     def profile_summary(self) -> Dict[str, object]:
         """All absorbed cell profiles folded into one snapshot.
@@ -469,12 +833,15 @@ class ExperimentRunner:
 
         The name combines the human-readable spec description with the
         cell's content seed, so it is stable across processes (pool
-        workers derive the same path) yet unique per cell.
+        workers derive the same path) yet unique per cell. The content
+        seed leaves out an explicit randomized-trigger seed, so one is
+        appended when set.
         """
         safe = re.sub(r"[^A-Za-z0-9@.+=_-]+", "-", spec.describe())
-        return os.path.join(
-            self.stream, f"{safe.strip('-')}-{cell_seed(spec):08x}"
-        )
+        name = f"{safe.strip('-')}-{cell_seed(spec):08x}"
+        if spec.seed is not None:
+            name += f"-seed{spec.seed}"
+        return os.path.join(self.stream, name)
 
     def _apply_plan(self, spec: RunSpec) -> RunSpec:
         """Fold the runner-level strategy plan into *spec* (a spec's own
@@ -484,7 +851,9 @@ class ExperimentRunner:
         return spec
 
     def run(self, spec: RunSpec) -> RunResult:
-        """Transform per *spec*, execute, verify, and measure.
+        """Transform per *spec*, execute, verify, and measure: the
+        baseline, then every stage of :data:`STAGES` over one
+        :class:`Cell`.
 
         Results are memoized: cells are deterministic, so a repeated
         spec returns the first computation's result unchanged.
@@ -494,312 +863,28 @@ class ExperimentRunner:
         if memoized is not None:
             self.memo_hits += 1
             return memoized
-        cell_started = time.perf_counter()
-        program, base_result = self.baseline(spec.workload, spec.scale)
-        instrumentations = make_instrumentations(spec.instrumentation)
-
-        framework = SamplingFramework(
-            spec.strategy, yieldpoint_opt=spec.yieldpoint_opt
+        started = time.perf_counter()
+        program, base = self.baseline(spec.workload, spec.scale)
+        cell = Cell(
+            spec, program, spec.describe(), self.engine, baseline=base,
+            cost_model=self.cost_model, fuel=self.fuel,
+            metrics=self.metrics, started=started,
         )
-        checks_only = spec.strategy in (
-            Strategy.CHECKS_ONLY_ENTRY,
-            Strategy.CHECKS_ONLY_BACKEDGE,
+        cell.observe(
+            telemetry=self.telemetry,
+            capacity=self.telemetry_capacity,
+            compaction=self.compaction,
+            spool=None if self.stream is None else self._spool_path(spec),
+            profile_interval=self.profile_interval if self.profile else None,
         )
-        t0 = time.perf_counter()
-        if spec.plan is not None:
-            from repro.sampling.framework import transform_planned
-
-            # Mixed-strategy transform: each function under its planned
-            # strategy, spec.strategy as the default, and a PlannedLoader
-            # keeping dynamically arriving code on plan.
-            transformed = transform_planned(
-                program,
-                instrumentations,
-                dict(spec.plan),
-                default=spec.strategy,
-                yieldpoint_opt=spec.yieldpoint_opt,
-            )
-        else:
-            transformed = framework.transform(
-                program, None if checks_only else instrumentations
-            )
-        transform_seconds = time.perf_counter() - t0
-
-        # Planned programs mix strategies, so the per-function
-        # ``notes["sampling"]`` stamps are authoritative for the audit
-        # (a single expected strategy would raise AUD009 mismatches).
-        expected_strategy = (
-            None if spec.plan is not None else spec.strategy.value
+        run_stages(cell)
+        record = CellRecord(
+            label=spec.describe(),
+            seconds=time.perf_counter() - started,
+            source="serial",
         )
-        audit_report: Optional[AuditReport] = None
-        if self.audit:
-            audit_report = audit_program(
-                transformed,
-                strategy=expected_strategy,
-                label=spec.describe(),
-            )
-            self.metrics.counter("harness.audit.cells").inc()
-            if audit_report.findings:
-                self.metrics.counter("harness.audit.findings").inc(
-                    len(audit_report.findings)
-                )
-            if not audit_report.ok:
-                raise HarnessError(
-                    f"{spec.describe()}: static audit failed\n"
-                    + audit_report.render()
-                )
-
-        # Dynamic programs change their function table mid-run, so the
-        # pre-run certificate stops describing the executed code: an
-        # incremental certifier audits every loaded/replaced function at
-        # its load event and maintains the certificate by deltas.
-        certifier: Optional[IncrementalCertifier] = None
-        if self.audit and transformed.is_dynamic():
-            certifier = IncrementalCertifier.from_program(
-                transformed,
-                strategy=expected_strategy,
-                label=spec.describe(),
-            )
-
-        seed_used: Optional[int] = spec.seed
-        if spec.trigger == "counter" and spec.phase:
-            trigger = make_trigger(spec.trigger, spec.interval, phase=spec.phase)
-        elif spec.trigger == "randomized":
-            # Deterministic per-cell seeding: the jitter stream is a
-            # pure function of the spec (or an explicit seed), so the
-            # cell's result is independent of process, order, and pool
-            # size.
-            seed_used = spec.seed if spec.seed is not None else cell_seed(spec)
-            trigger = make_trigger(spec.trigger, spec.interval, seed=seed_used)
-        else:
-            trigger = make_trigger(spec.trigger, spec.interval)
-        profiler = (
-            OverheadProfiler(
-                interval=self.profile_interval,
-                cct=self.stream is not None,
-            )
-            if self.profile
-            else None
-        )
-        recorder: Optional[TelemetryRecorder] = None
-        if self.stream is not None:
-            from repro.telemetry.streaming import StreamingRecorder
-
-            recorder = StreamingRecorder(
-                self._spool_path(spec),
-                capacity=self.telemetry_capacity,
-                profiler=profiler,
-                label=spec.describe(),
-                meta={
-                    "workload": spec.workload,
-                    "strategy": spec.strategy.value,
-                    "engine": self.engine,
-                    "trigger": spec.trigger,
-                    "interval": spec.interval,
-                    "instrumentation": list(spec.instrumentation),
-                },
-            )
-        elif self.telemetry:
-            recorder = (
-                CompactingRecorder(capacity=self.telemetry_capacity)
-                if self.compaction
-                else TelemetryRecorder(capacity=self.telemetry_capacity)
-            )
-        vm_started = time.perf_counter()
-        vm = VM(
-            transformed,
-            cost_model=self.cost_model,
-            trigger=trigger,
-            timer_period=spec.timer_period,
-            fuel=self.fuel,
-            engine=self.engine,
-            recorder=recorder,
-            profiler=profiler,
-        )
-        if certifier is not None:
-            certifier.attach(vm)
-        result = vm.run()
-        vm_seconds = time.perf_counter() - vm_started
-
-        if self.check_semantics:
-            if result.value != base_result.value or (
-                result.output != base_result.output
-            ):
-                raise HarnessError(
-                    f"{spec.describe()}: transformed program diverged "
-                    f"(value {result.value} vs {base_result.value})"
-                )
-        duplicating = spec.strategy in (
-            Strategy.FULL_DUPLICATION,
-            Strategy.PARTIAL_DUPLICATION,
-        )
-        if spec.plan is not None:
-            duplicating = duplicating or any(
-                value
-                in (
-                    Strategy.FULL_DUPLICATION.value,
-                    Strategy.PARTIAL_DUPLICATION.value,
-                )
-                for _, value in spec.plan
-            )
-        if self.check_property1 and duplicating:
-            if not property1_vs_baseline(result.stats, base_result.stats):
-                raise HarnessError(
-                    f"{spec.describe()}: Property 1 violated "
-                    f"(checks={result.stats.checks_executed}, "
-                    f"bound={base_result.stats.check_opportunities})"
-                )
-        verdict = None
-        # Planned (mixed-strategy) runs reconcile per function: with
-        # telemetry on, each function's measured check count is held to
-        # its own certified bound (a no-duplication function must never
-        # execute a CHECK); without telemetry the whole-program bound
-        # still applies.
-        plan_metrics = (
-            recorder.metrics.snapshot()
-            if spec.plan is not None and recorder is not None
-            else None
-        )
-        if certifier is not None:
-            # Dynamic programs are reconciled against the incrementally
-            # maintained certificate: code loaded mid-run can introduce
-            # checks the pre-run (static) certificate never promised.
-            if not certifier.ok:
-                raise HarnessError(
-                    f"{spec.describe()}: dynamically loaded code failed "
-                    f"its audit ({certifier.loads} load(s), "
-                    f"{certifier.replaces} replace(s))"
-                )
-            certificate = certifier.dynamic_certificate()
-            verdict = (
-                reconcile_plan(certificate, result.stats, plan_metrics)
-                if spec.plan is not None
-                else reconcile(certificate, result.stats)
-            )
-            self.metrics.counter("harness.audit.reconciled").inc()
-            if not verdict.ok:
-                self.metrics.counter(
-                    "harness.audit.reconcile_violations"
-                ).inc(len(verdict.violations))
-                raise HarnessError(
-                    f"{spec.describe()}: run contradicts its incremental "
-                    f"cost certificate: " + "; ".join(verdict.violations)
-                )
-        elif audit_report is not None and audit_report.certificate is not None:
-            verdict = (
-                reconcile_plan(
-                    audit_report.certificate, result.stats, plan_metrics
-                )
-                if spec.plan is not None
-                else reconcile(audit_report.certificate, result.stats)
-            )
-            self.metrics.counter("harness.audit.reconciled").inc()
-            if not verdict.ok:
-                self.metrics.counter(
-                    "harness.audit.reconcile_violations"
-                ).inc(len(verdict.violations))
-                raise HarnessError(
-                    f"{spec.describe()}: run contradicts its cost "
-                    f"certificate: " + "; ".join(verdict.violations)
-                )
-
-        profile_payload: Optional[Dict[str, object]] = None
-        if profiler is not None:
-            snapshot = profiler.snapshot()
-            prof_verdict = reconcile_profile(snapshot)
-            self.metrics.counter("harness.profile.cells").inc()
-            if not prof_verdict.ok:
-                raise HarnessError(
-                    f"{spec.describe()}: profiler sample bound violated: "
-                    + "; ".join(prof_verdict.violations)
-                )
-            decomposition = decompose(snapshot, measured_wall=vm_seconds)
-            profile_payload = {
-                "snapshot": snapshot,
-                "decomposition": decomposition.as_dict(),
-                "bound": prof_verdict.as_dict(),
-            }
-            self._absorb_profile(snapshot)
-
-        profiles = {
-            instr.profile.name: instr.profile for instr in instrumentations
-        }
-        run_result = RunResult(
-            spec=spec,
-            value=result.value,
-            cycles=result.stats.cycles,
-            stats=result.stats,
-            profiles=profiles,
-            transform_report=framework.last_report,
-            transform_seconds=transform_seconds,
-            code_bytes=transformed.total_code_size_bytes(),
-            audit=audit_report,
-            vm_seconds=vm_seconds,
-            profile=profile_payload,
-        )
-        cell_seconds = time.perf_counter() - cell_started
-        if recorder is not None:
-            # Ring occupancy / eviction / compaction counters become
-            # first-class metrics before the snapshot is frozen into the
-            # manifest.
-            recorder.sync_metrics()
-            if self.stream is not None:
-                # Seal the spool after metrics are frozen and before the
-                # manifest snapshot is taken, so the spool's merged
-                # end-of-run state and the manifest agree bit-for-bit.
-                recorder.close()
-                run_result.spool = str(recorder.writer.path)
-                self.metrics.counter("harness.stream.cells").inc()
-            if isinstance(recorder, CompactingRecorder):
-                run_result.records = recorder.records()
-            run_result.manifest = RunManifest(
-                spec=spec_as_dict(spec),
-                engine=self.engine,
-                trigger=trigger.config(),
-                seed=seed_used,
-                cycles=result.stats.cycles,
-                value=result.value,
-                wall_seconds=cell_seconds,
-                stats=result.stats.as_dict(),
-                metrics=recorder.metrics.snapshot(),
-                telemetry=recorder.summary(),
-                source="serial",
-                analysis=(
-                    {
-                        "ok": audit_report.ok,
-                        "errors": audit_report.count(Severity.ERROR),
-                        "warnings": audit_report.count(Severity.WARNING),
-                        "certificate": (
-                            audit_report.certificate.as_dict()
-                            if audit_report.certificate is not None
-                            else None
-                        ),
-                        "verdict": (
-                            verdict.as_dict() if verdict is not None else None
-                        ),
-                        "incremental": (
-                            certifier.as_dict()
-                            if certifier is not None
-                            else None
-                        ),
-                    }
-                    if audit_report is not None
-                    else {}
-                ),
-                profiling=profile_payload or {},
-                plan=_plan_section(spec),
-            )
-            self._absorb_manifest(run_result.manifest)
-        self._run_memo[spec] = run_result
-        self._ledger_append(spec, run_result)
-        self.cell_log.append(
-            CellRecord(
-                label=spec.describe(),
-                seconds=cell_seconds,
-                source="serial",
-            )
-        )
-        return run_result
+        self._absorb(spec, cell.run_result(), record)
+        return self._run_memo[spec]
 
     # -- batched / parallel execution ---------------------------------------------
 
@@ -842,26 +927,18 @@ class ExperimentRunner:
 
     def _absorb_outcome(self, spec: RunSpec, outcome: CellOutcome) -> None:
         """Fold one pool-computed cell into the memo, metrics and log."""
-        self._run_memo[spec] = outcome.result
         self._record_cache_counts(
             outcome.cache_hits, outcome.cache_misses, outcome.cache_stores
         )
-        source = f"pool:{outcome.worker_pid}"
-        manifest = outcome.result.manifest
-        if manifest is not None:
-            manifest.source = source
-            self._absorb_manifest(manifest)
-        profile_payload = outcome.result.profile
-        if profile_payload is not None:
-            self._absorb_profile(profile_payload["snapshot"])
-        self._ledger_append(spec, outcome.result)
-        self.cell_log.append(
+        self._absorb(
+            spec,
+            outcome.result,
             CellRecord(
                 label=spec.describe(),
                 seconds=outcome.seconds,
-                source=source,
+                source=f"pool:{outcome.worker_pid}",
                 baseline_cache_hit=outcome.baseline_cache_hit,
-            )
+            ),
         )
 
     def prefetch(

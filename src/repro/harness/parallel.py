@@ -7,8 +7,8 @@ that :meth:`repro.harness.ExperimentRunner.run_many` fans cells out
 over:
 
 * each worker process builds its own :class:`ExperimentRunner` from a
-  picklable :class:`RunnerConfig` (cost model, fuel, tripwire flags,
-  cache directory) in its initializer, so per-workload compilation and
+  picklable :class:`RunnerConfig` (cost model, fuel, cache directory,
+  engine and observability settings) in its initializer, so per-workload compilation and
   baseline execution happen at most once per worker — or once *ever*
   when a persistent baseline cache directory is shared;
 * cells are dispatched in *shape groups* (:func:`shape_groups`): the
@@ -58,6 +58,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 JOBS_ENV = "REPRO_JOBS"
 
 
+class JobsError(HarnessError, ValueError):
+    """``$REPRO_JOBS`` is not an integer. A :class:`HarnessError`, so the
+    CLI reports it as an error; a ValueError, as it always was."""
+
+
 def effective_jobs(jobs: Optional[int] = None) -> int:
     """Resolve a ``--jobs`` value: explicit arg, else ``$REPRO_JOBS``,
     else 1. Zero or negative means "all cores"."""
@@ -68,7 +73,7 @@ def effective_jobs(jobs: Optional[int] = None) -> int:
         try:
             jobs = int(raw)
         except ValueError:
-            raise ValueError(
+            raise JobsError(
                 f"{JOBS_ENV} must be an integer, got {raw!r}"
             ) from None
     if jobs <= 0:
@@ -148,9 +153,6 @@ class RunnerConfig:
 
     cost_model: CostModel
     fuel: int
-    check_semantics: bool
-    check_property1: bool
-    audit: bool = True
     cache_dir: Optional[str] = None
     engine: str = "fast"
     telemetry: bool = False
@@ -173,9 +175,6 @@ class RunnerConfig:
         return cls(
             cost_model=runner.cost_model,
             fuel=runner.fuel,
-            check_semantics=runner.check_semantics,
-            check_property1=runner.check_property1,
-            audit=runner.audit,
             cache_dir=str(cache.directory) if cache is not None else None,
             engine=runner.engine,
             telemetry=runner.telemetry,
@@ -192,9 +191,6 @@ class RunnerConfig:
         return ExperimentRunner(
             cost_model=self.cost_model,
             fuel=self.fuel,
-            check_semantics=self.check_semantics,
-            check_property1=self.check_property1,
-            audit=self.audit,
             cache=self.cache_dir if self.cache_dir is not None else False,
             jobs=1,
             engine=self.engine,

@@ -47,8 +47,7 @@ class RunManifest:
     metrics: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     telemetry: Dict[str, Any] = field(default_factory=dict)
     #: static-analysis section: audit verdict, cost certificate, and the
-    #: static↔dynamic reconciliation result (empty when the producing
-    #: runner had auditing disabled; see :mod:`repro.analysis`)
+    #: static↔dynamic reconciliation result (see :mod:`repro.analysis`)
     analysis: Dict[str, Any] = field(default_factory=dict)
     #: self-profiling section: the overhead profiler's snapshot, its
     #: decomposition report, and the sample-bound verdict (empty when

@@ -695,15 +695,6 @@ class TestHarnessIntegration:
         # The archived manifest re-validates offline.
         assert reconcile_manifest(loaded).ok
 
-    def test_audit_off_leaves_result_and_manifest_clean(self):
-        runner = ExperimentRunner(telemetry=True, audit=False)
-        result = runner.run(
-            RunSpec("compress", Strategy.FULL_DUPLICATION,
-                    ("call-edge",), trigger="counter", interval=37)
-        )
-        assert result.audit is None
-        assert result.manifest.analysis == {}
-
     def test_failed_audit_is_a_harness_error(self, monkeypatch):
         import repro.harness.experiment as exp
 
@@ -717,11 +708,12 @@ class TestHarnessIntegration:
 
         monkeypatch.setattr(exp, "audit_program", broken_audit)
         runner = ExperimentRunner()
-        with pytest.raises(HarnessError, match="static audit failed"):
+        with pytest.raises(HarnessError, match="static audit failed") as err:
             runner.run(
                 RunSpec("compress", Strategy.FULL_DUPLICATION,
                         ("call-edge",), trigger="counter", interval=37)
             )
+        assert err.value.stage == "audit"
 
     def test_reconcile_violation_is_a_harness_error(self, monkeypatch):
         import repro.harness.experiment as exp
@@ -734,11 +726,12 @@ class TestHarnessIntegration:
 
         monkeypatch.setattr(exp, "reconcile", impossible_reconcile)
         runner = ExperimentRunner()
-        with pytest.raises(HarnessError):
+        with pytest.raises(HarnessError) as err:
             runner.run(
                 RunSpec("compress", Strategy.FULL_DUPLICATION,
                         ("call-edge",), trigger="counter", interval=37)
             )
+        assert err.value.stage == "reconcile"
         assert (
             runner.metrics.counter(
                 "harness.audit.reconcile_violations"
@@ -872,6 +865,34 @@ class TestCliAudit:
         assert (
             payload["stats"]["checks_executed"]
             <= payload["verdict"]["bound"]
+        )
+
+    def test_audit_document_agrees_with_runner_manifest(self, tmp_path):
+        """``repro audit`` and the harness run the same cell stages, so
+        for one spec they reach the same verdict and incremental
+        certificate; only the label each names its cell by differs."""
+        from repro.cli import main
+
+        out_path = tmp_path / "audit.json"
+        assert main(["audit", "--workload", "dynload", "--strategy", "full",
+                     "--interval", "100", "--out", str(out_path)]) == 0
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        payload = payload["reports"][0]
+        result = ExperimentRunner(telemetry=True).run(
+            RunSpec("dynload", Strategy.FULL_DUPLICATION, ("call-edge",),
+                    trigger="counter", interval=100)
+        )
+        analysis = json.loads(json.dumps(result.manifest.analysis))
+
+        def unlabeled(incremental):
+            for key in ("certificate", "dynamic_certificate"):
+                assert incremental[key].pop("label")
+            return incremental
+
+        assert payload["verdict"] == analysis["verdict"]
+        assert payload["incremental"]["events"]
+        assert unlabeled(payload["incremental"]) == (
+            unlabeled(analysis["incremental"])
         )
 
     def test_audit_json_stdout(self, capsys):

@@ -151,3 +151,12 @@ class TestTables:
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "AVERAGE" in out
+
+    def test_garbage_jobs_env_is_an_error_not_a_traceback(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        assert main(["tables", "table3", "--no-cache"]) == 1
+        assert capsys.readouterr().err == (
+            "error: REPRO_JOBS must be an integer, got 'abc'\n"
+        )

@@ -68,6 +68,23 @@ class _CorruptingInstrumentation(Instrumentation):
         self.insert_at_entry(cfg, _CorruptingAction())
 
 
+class _ChattyAction(InstrumentationAction):
+    """An action that (incorrectly) prints: the program's value is
+    untouched, only its output changes."""
+
+    cost = 1
+
+    def execute(self, vm, frame):
+        vm.output.append(7)
+
+
+class _ChattyInstrumentation(Instrumentation):
+    kind = "chatty"
+
+    def instrument_cfg(self, cfg, program):
+        self.insert_at_entry(cfg, _ChattyAction())
+
+
 class TestTripwires:
     def test_harness_detects_semantic_divergence(self):
         """If an instrumentation (or a transform bug) changes program
@@ -80,7 +97,7 @@ class TestTripwires:
             _CorruptingInstrumentation
         )
         try:
-            with pytest.raises(HarnessError, match="diverged"):
+            with pytest.raises(HarnessError, match="diverged") as err:
                 runner.run(
                     RunSpec(
                         "db",
@@ -88,24 +105,34 @@ class TestTripwires:
                         ("corrupting",),
                     )
                 )
+            assert err.value.stage == "verify"
         finally:
             del exp._INSTRUMENTATION_FACTORIES["corrupting"]
 
     def test_corruption_invisible_when_checks_disabled(self):
-        """Sanity for the tripwire test: with checks disabled the same
-        corrupt run completes (and computes something different)."""
+        """Sanity for the tripwire test: run on a bare VM, outside the
+        harness's checks, the same corrupt transform completes (and
+        computes something different)."""
+        program = get_workload("db").compile()
+        transformed = SamplingFramework(Strategy.EXHAUSTIVE).transform(
+            program, _CorruptingInstrumentation()
+        )
+        assert run_program(transformed).value != run_program(program).value
+
+    def test_profile_command_checks_output(self, monkeypatch, capsys):
+        """``repro profile`` runs the harness's verify stage: an
+        instrumentation that only adds output is caught, not just one
+        that changes the value."""
+        from repro.cli import main
         from repro.harness import experiment as exp
 
-        relaxed = ExperimentRunner(check_semantics=False,
-                                   check_property1=False)
-        exp._INSTRUMENTATION_FACTORIES["corrupting"] = (
-            _CorruptingInstrumentation
+        monkeypatch.setitem(
+            exp._INSTRUMENTATION_FACTORIES, "chatty", _ChattyInstrumentation
         )
-        try:
-            result = relaxed.run(
-                RunSpec("db", Strategy.EXHAUSTIVE, ("corrupting",))
-            )
-            baseline_value = relaxed.baseline("db")[1].value
-            assert result.value != baseline_value
-        finally:
-            del exp._INSTRUMENTATION_FACTORIES["corrupting"]
+        assert main([
+            "profile", "--workload", "db", "--strategy", "exhaustive",
+            "--instrument", "chatty", "--no-self-profile",
+        ]) == 1
+        assert "[verify] db: transformed program diverged" in (
+            capsys.readouterr().err
+        )

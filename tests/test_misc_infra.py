@@ -186,8 +186,3 @@ class TestRunnerTriggerPlumbing:
         # same program, same trigger rate: only the phase differs; the
         # profiles may differ but sample counts are within one
         assert abs(a.stats.samples_taken - b.stats.samples_taken) <= 1
-
-    def test_semantic_check_can_be_disabled(self):
-        relaxed = ExperimentRunner(check_semantics=False, check_property1=False)
-        result = relaxed.run(RunSpec("db", Strategy.EXHAUSTIVE, ("none",)))
-        assert result.cycles > 0

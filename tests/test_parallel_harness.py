@@ -169,10 +169,8 @@ class TestRunnerConfig:
         assert cost_model_fingerprint(thawed.cost_model) == (
             cost_model_fingerprint(config.cost_model)
         )
-        assert (thawed.fuel, thawed.check_semantics, thawed.check_property1,
-                thawed.cache_dir) == (
-            config.fuel, config.check_semantics, config.check_property1,
-            config.cache_dir)
+        assert (thawed.fuel, thawed.cache_dir, thawed.engine) == (
+            config.fuel, config.cache_dir, config.engine)
 
 
 class TestTimingReport:

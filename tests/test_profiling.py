@@ -697,8 +697,9 @@ class TestHarnessProfiling:
 
         monkeypatch.setattr(exp_mod, "reconcile_profile", broken)
         runner = ExperimentRunner(profile=True)
-        with pytest.raises(HarnessError, match="sample bound"):
+        with pytest.raises(HarnessError, match="sample bound") as err:
             runner.run(self._spec())
+        assert err.value.stage == "profile"
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -31,7 +32,7 @@ from repro.analysis import reconcile_stream
 from repro.errors import ReproError
 from repro.harness import ExperimentRunner, RunSpec
 from repro.harness.experiment import make_instrumentations
-from repro.harness.parallel import RunnerConfig
+from repro.harness.parallel import RunnerConfig, cell_seed
 from repro.profiling import OverheadProfiler, merge_snapshots
 from repro.profiling.cct import (
     CallingContextTree,
@@ -479,6 +480,21 @@ class TestHarnessStreaming:
         assert rebuilt._spool_path(self.SPEC) == (
             runner._spool_path(self.SPEC)
         )
+
+    def test_explicit_seeds_get_their_own_spools(self, tmp_path):
+        """Randomized cells that differ only in their explicit seed used
+        to share a spool path, so the second one refused to append."""
+        runner = ExperimentRunner(stream=tmp_path / "live")
+        spec = RunSpec("compress", Strategy.FULL_DUPLICATION,
+                       ("call-edge",), trigger="randomized", interval=100)
+        unseeded = runner.run(spec)
+        one = runner.run(replace(spec, seed=1))
+        two = runner.run(replace(spec, seed=2))
+        assert len({unseeded.spool, one.spool, two.spool}) == 3
+        assert SpoolReader(one.spool).closed and SpoolReader(two.spool).closed
+        # Unseeded cells keep their content-derived seed and path.
+        assert unseeded.manifest.seed == cell_seed(spec)
+        assert unseeded.spool.endswith(f"-{cell_seed(spec):08x}")
 
     def test_manifest_telemetry_reports_drop_accounting(self, tmp_path):
         runner = ExperimentRunner(stream=tmp_path / "live")
