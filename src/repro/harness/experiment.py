@@ -6,11 +6,15 @@ Every benchmark in ``benchmarks/`` and every table generator in
 they all share baseline caching, semantic-preservation tripwires, and
 Property-1 verification. Each cell runs the stages of :data:`STAGES`
 over one :class:`Cell`; the ``trace``, ``metrics``, ``audit`` and
-``profile`` commands run the same stages (docs/HARNESS.md).
+``profile`` commands run the same stages (docs/HARNESS.md). The runner
+runs the per-shape half (:data:`SHAPE_STAGES`) once per transformed
+program and hands its outputs to every other cell of that shape
+(:class:`Shape`).
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import re
 import time
@@ -45,6 +49,7 @@ from repro.harness.parallel import (
     cell_seed,
     effective_jobs,
     run_specs,
+    shape_key,
 )
 from repro.instrument import (
     BranchBiasInstrumentation,
@@ -306,7 +311,10 @@ class Cell:
         value, stats = self.result.value, self.result.stats
         return RunResult(
             self.spec, value, stats.cycles, stats,
-            profiles={i.profile.name: i.profile for i in self.instrumentations},
+            profiles={
+                i.profile.name: _own_profile(i.profile)
+                for i in self.instrumentations
+            },
             transform_report=self.transform_report,
             transform_seconds=self.transform_seconds,
             code_bytes=self.transformed.total_code_size_bytes(),
@@ -369,11 +377,18 @@ def _audit(cell: Cell) -> None:
     # single expected strategy would raise AUD009 mismatches).
     spec = cell.spec
     strategy = None if spec.plan is not None else spec.strategy.value
-    report = audit_program(
+    cell.audit = audit_program(
         cell.transformed, strategy=strategy, label=cell.label,
         program_rules=cell.program_rules,
     )
-    cell.audit = report
+    _admit(cell)
+
+
+def _admit(cell: Cell) -> None:
+    """The per-cell half of ``audit``, which a reused :class:`Shape`
+    runs too: count the cell's audit, fail the cell on an ERROR
+    finding, and give a dynamic program the cell's own certifier."""
+    report = cell.audit
     cell.metrics.counter("harness.audit.cells").inc()
     if report.findings:
         cell.metrics.counter("harness.audit.findings").inc(
@@ -389,7 +404,7 @@ def _audit(cell: Cell) -> None:
     # its load event and maintains the certificate by deltas.
     if cell.transformed.is_dynamic():
         cell.certifier = IncrementalCertifier.from_program(
-            cell.transformed, strategy=strategy, label=cell.label
+            cell.transformed, strategy=report.strategy, label=cell.label
         )
 
 
@@ -547,21 +562,104 @@ STAGES: Dict[str, Callable[[Cell], None]] = {
     "seal": _seal,
 }
 
+#: The per-shape half of :data:`STAGES`. The sample interval is a
+#: run-time value of the trigger, never baked into the code, so these
+#: outputs depend only on the cell's :func:`shape_key` (plus
+#: ``sample_iterations``) and :class:`ExperimentRunner` computes them
+#: once per shape.
+SHAPE_STAGES: Tuple[str, ...] = ("transform", "audit")
+#: The per-cell half: every cell runs all of it.
+CELL_STAGES: Tuple[str, ...] = tuple(
+    name for name in STAGES if name not in SHAPE_STAGES
+)
+
+#: Bucket bounds, in seconds, of the ``harness.stage.<name>`` histograms.
+STAGE_SECONDS_BOUNDS: Tuple[float, ...] = (
+    0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0,
+)
+
 
 def run_stages(cell: Cell, stages: Iterable[str] = STAGES) -> Cell:
     """Run the named *stages* of :data:`STAGES` over *cell*, in order.
 
-    A :class:`HarnessError` raised inside a stage leaves with its
+    Each stage that completes observes its wall time into the
+    ``harness.stage.<name>`` histogram of ``cell.metrics``. A
+    :class:`HarnessError` raised inside a stage leaves with its
     ``stage`` attribute set to the stage's name.
     """
     for name in stages:
+        started = time.perf_counter()
         try:
             STAGES[name](cell)
         except HarnessError as exc:
             if exc.stage is None:
                 exc.stage = name
             raise
+        cell.metrics.histogram(
+            f"harness.stage.{name}", bounds=STAGE_SECONDS_BOUNDS
+        ).observe(time.perf_counter() - started)
     return cell
+
+
+@dataclass
+class Shape:
+    """What :data:`SHAPE_STAGES` computed for the first cell of a shape,
+    handed to every later cell of that shape.
+
+    Shared by those cells: the instrumentation objects (their profiles
+    are reset per cell), the transformed functions, classes, loadables
+    and loader, the transform report and time, and the audit verdict.
+    Each cell gets its own function table, relabelled audit report and
+    certificate, and incremental certifier (:meth:`adopt`). Only a shape
+    whose audit passed is ever built.
+    """
+
+    instrumentations: List[Instrumentation]
+    transformed: Program
+    transform_report: Optional[TransformReport]
+    transform_seconds: float
+    audit: AuditReport
+
+    @classmethod
+    def of(cls, cell: Cell) -> "Shape":
+        """Capture *cell*'s per-shape outputs before it executes."""
+        return cls(
+            cell.instrumentations, _own_table(cell.transformed),
+            cell.transform_report, cell.transform_seconds, cell.audit,
+        )
+
+    def adopt(self, cell: Cell) -> None:
+        """Fill in *cell*'s per-shape outputs, as if it had run
+        :data:`SHAPE_STAGES` itself."""
+        for instrumentation in self.instrumentations:
+            instrumentation.reset()
+        cell.instrumentations = self.instrumentations
+        cell.transformed = _own_table(self.transformed)
+        cell.transform_report = self.transform_report
+        cell.transform_seconds = self.transform_seconds
+        cell.audit = replace(
+            self.audit, label=cell.label,
+            certificate=replace(self.audit.certificate, label=cell.label),
+        )
+        _admit(cell)
+
+
+def _own_table(program: Program) -> Program:
+    """A program over *program*'s functions, classes, loadables and
+    loader with its own function table: LOADFN/REPLACEFN write to the
+    table, never to a :class:`Function`."""
+    shell = copy.copy(program)
+    shell.functions = dict(program.functions)
+    shell._installed_template = dict(program._installed_template)
+    return shell
+
+
+def _own_profile(profile: Profile) -> Profile:
+    """A copy of *profile* that later runs of its instrumentation
+    cannot change."""
+    own = Profile(profile.name)
+    own.merge(profile)
+    return own
 
 
 class ExperimentRunner:
@@ -641,8 +739,9 @@ class ExperimentRunner:
             pinned by tests/test_streaming.py.
 
     The runner always keeps a :class:`MetricsRegistry` in
-    :attr:`metrics` — harness-level counters (baseline-cache traffic,
-    including deltas reported back by pool workers) are recorded there
+    :attr:`metrics` — harness-level instruments (baseline-cache
+    traffic, audit and shape counters, ``harness.stage.*`` timers,
+    including the deltas pool workers report back) are recorded there
     even with telemetry off; VM metric snapshots are merged in per
     manifest when telemetry is on.
     """
@@ -686,6 +785,7 @@ class ExperimentRunner:
         self.profile_snapshots: List[Dict[str, object]] = []
         self._baselines: Dict[Tuple[str, Optional[int]], Tuple[Program, VMResult]] = {}
         self._run_memo: Dict[RunSpec, RunResult] = {}
+        self._shape_memo: Dict[Tuple[object, ...], Shape] = {}
         self.cell_log: List[CellRecord] = []
         self.memo_hits = 0
 
@@ -763,20 +863,6 @@ class ExperimentRunner:
                 self.metrics.counter(
                     f"harness.baseline_cache.{name}"
                 ).inc(a - b)
-
-    def _record_cache_counts(
-        self, hits: int, misses: int, stores: int
-    ) -> None:
-        """Fold pool-worker-reported baseline-cache deltas into the
-        registry (the workers' cache handles are not ours, so their
-        activity is only visible through these counts)."""
-        for name, amount in zip(
-            self._CACHE_COUNTERS, (hits, misses, stores)
-        ):
-            if amount > 0:
-                self.metrics.counter(
-                    f"harness.baseline_cache.{name}"
-                ).inc(amount)
 
     def _absorb(
         self, spec: RunSpec, result: RunResult, record: CellRecord
@@ -856,7 +942,10 @@ class ExperimentRunner:
         :class:`Cell`.
 
         Results are memoized: cells are deterministic, so a repeated
-        spec returns the first computation's result unchanged.
+        spec returns the first computation's result unchanged. So is
+        the per-shape half (:data:`SHAPE_STAGES`): the first cell of a
+        shape runs it, later ones adopt its :class:`Shape`
+        (``harness.shape.misses`` / ``harness.shape.hits``).
         """
         spec = self._apply_plan(spec)
         memoized = self._run_memo.get(spec)
@@ -877,7 +966,16 @@ class ExperimentRunner:
             spool=None if self.stream is None else self._spool_path(spec),
             profile_interval=self.profile_interval if self.profile else None,
         )
-        run_stages(cell)
+        key = (shape_key(spec), cell.sample_iterations)
+        shape = self._shape_memo.get(key)
+        if shape is None:
+            self.metrics.counter("harness.shape.misses").inc()
+            run_stages(cell, SHAPE_STAGES)
+            self._shape_memo[key] = Shape.of(cell)
+        else:
+            self.metrics.counter("harness.shape.hits").inc()
+            shape.adopt(cell)
+        run_stages(cell, CELL_STAGES)
         record = CellRecord(
             label=spec.describe(),
             seconds=time.perf_counter() - started,
@@ -926,10 +1024,11 @@ class ExperimentRunner:
         return [self.run(spec) for spec in specs]
 
     def _absorb_outcome(self, spec: RunSpec, outcome: CellOutcome) -> None:
-        """Fold one pool-computed cell into the memo, metrics and log."""
-        self._record_cache_counts(
-            outcome.cache_hits, outcome.cache_misses, outcome.cache_stores
-        )
+        """Fold one pool-computed cell into the memo, metrics and log.
+
+        The worker's ``harness.*`` delta is merged here (its registry
+        is not ours); its VM metrics arrive with the manifest."""
+        self.metrics.merge_snapshot(outcome.metrics)
         self._absorb(
             spec,
             outcome.result,
@@ -937,7 +1036,9 @@ class ExperimentRunner:
                 label=spec.describe(),
                 seconds=outcome.seconds,
                 source=f"pool:{outcome.worker_pid}",
-                baseline_cache_hit=outcome.baseline_cache_hit,
+                baseline_cache_hit=(
+                    "harness.baseline_cache.hits" in outcome.metrics
+                ),
             ),
         )
 

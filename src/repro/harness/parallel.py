@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import HarnessError
+from repro.snapshots import METRICS
 from repro.vm.cost_model import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -208,20 +209,18 @@ class RunnerConfig:
 class CellOutcome:
     """One executed cell plus its provenance and timing.
 
-    ``cache_hits``/``cache_misses``/``cache_stores`` are per-cell
-    baseline-cache deltas observed in the worker; the parent folds them
-    into its metrics registry so the timing report's cache accounting
-    covers pool cells too (a worker's cache handle is invisible to the
-    parent's ``BaselineCache.stats``).
+    ``metrics`` is the change the cell made to the worker runner's
+    ``harness.*`` instruments (a :data:`repro.snapshots.METRICS` delta:
+    baseline-cache traffic, audit and shape counters, stage timers).
+    The parent merges it into its own registry, so a pooled sweep counts
+    what a serial one does. VM metrics are left out: they travel in the
+    cell's manifest.
     """
 
     result: "RunResult"
     seconds: float
     worker_pid: int
-    baseline_cache_hit: bool
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_stores: int = 0
+    metrics: Dict[str, Dict[str, object]]
 
 
 class WorkerLost(HarnessError):
@@ -257,27 +256,23 @@ def _run_cell(spec: "RunSpec") -> CellOutcome:
     runner = _WORKER_RUNNER
     if runner is None:  # pragma: no cover - initializer always runs
         raise RuntimeError("worker pool used without initialization")
-    cache = runner.baseline_cache
-    if cache is not None:
-        before = (cache.stats.hits, cache.stats.misses, cache.stats.stores)
-    else:
-        before = (0, 0, 0)
+    before = _harness_metrics(runner)
     started = time.perf_counter()
     result = runner.run(spec)
     seconds = time.perf_counter() - started
-    if cache is not None:
-        after = (cache.stats.hits, cache.stats.misses, cache.stats.stores)
-    else:
-        after = before
     return CellOutcome(
         result=result,
         seconds=seconds,
         worker_pid=os.getpid(),
-        baseline_cache_hit=after[0] > before[0],
-        cache_hits=after[0] - before[0],
-        cache_misses=after[1] - before[1],
-        cache_stores=after[2] - before[2],
+        metrics=METRICS.diff(before, _harness_metrics(runner)),
     )
+
+
+def _harness_metrics(runner) -> Dict[str, Dict[str, object]]:
+    return {
+        key: entry for key, entry in runner.metrics.snapshot().items()
+        if key.startswith("harness.")
+    }
 
 
 def _pool_context():

@@ -322,6 +322,49 @@ class TestLoweringOncePerShape:
         assert fresh_lowerings(2) <= serial
 
 
+#: Two shapes of two cells each, so a 2-job pool runs each shape whole
+#: in one worker, as the serial loop does.
+TWO_SHAPES = [
+    RunSpec(workload, strategy, ("call-edge",), trigger="counter",
+            interval=interval)
+    for workload, strategy in (
+        ("compress", Strategy.FULL_DUPLICATION),
+        ("jess", Strategy.PARTIAL_DUPLICATION),
+    )
+    for interval in (100, 1000)
+]
+
+
+class TestPoolHarnessMetrics:
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_pool_counts_what_serial_counts(self, cached, tmp_path):
+        """Workers ship their ``harness.*`` deltas back: audit, shape
+        and baseline-cache counters equal the serial sweep's, and so do
+        the stage timers' counts."""
+
+        def harness(jobs):
+            cache = str(tmp_path / f"jobs{jobs}") if cached else False
+            runner = ExperimentRunner(cache=cache, jobs=jobs)
+            runner.run_many(TWO_SHAPES)
+            return {
+                key: entry for key, entry in runner.metrics.snapshot().items()
+                if key.startswith("harness.")
+            }
+
+        serial, pooled = harness(1), harness(2)
+        assert serial["harness.audit.cells"]["value"] == 4
+        assert serial["harness.shape.misses"]["value"] == 2
+        assert serial["harness.stage.execute"]["count"] == 4
+        if cached:
+            assert serial["harness.baseline_cache.stores"]["value"] == 2
+        assert pooled.keys() == serial.keys()
+        for key, entry in serial.items():
+            if entry["type"] == "histogram":
+                assert pooled[key]["count"] == entry["count"], key
+            else:
+                assert pooled[key] == entry, key
+
+
 #: Child process for the dead-worker test: the pool worker that picks
 #: up the jess cell exits without a word, as a crashed interpreter would.
 _DEAD_WORKER_SCRIPT = """
